@@ -6,9 +6,10 @@
 //     OR/AND/ANDN/NOT and the fused AND-NOT/OR-NOT assigns) run through
 //     the runtime dispatch shim (common/simd.h); on an AVX2 host the
 //     vector level should be >= 2x the generic word-at-a-time level on
-//     L1/L2-resident operands (n >= 64k bits). `copy` (memmove on both
-//     levels) and `count` (scalar popcount on both — AVX2 has no integer
-//     popcount) are reported for context but carry no expectation.
+//     L1/L2-resident operands (n >= 64k bits). `copy` (memcpy on both
+//     levels) and `count` (a scalar popcount loop on both — AVX2 has no
+//     integer popcount — with hardware popcnt only in the AVX2 body) are
+//     reported for context but carry no expectation.
 //
 //  2. Superoptimization: beam-searched rewrites of compiled programs
 //     (and-not fusion, dead-code drops, star-invariant hoists) give a
@@ -152,8 +153,8 @@ std::vector<KernelRow> KernelReport(bool* ranged_2x_at_64k) {
                 "measured against itself, no 2x expectation)\n");
   } else {
     std::printf("Expected shape: >= 2x on the boolean ranged kernels at "
-                "n >= 64k; copy and count have no vector form and stay "
-                "~1x.\n");
+                "n >= 64k; copy and count have no vector form: copy "
+                "stays ~1x, count gains only the hardware popcnt.\n");
   }
   return rows;
 }

@@ -5,8 +5,9 @@
 //
 //  1. Dense-frontier streaming: on a dense source set the child image is
 //     one sequential gather over the parent column (out[w] bit b =
-//     sources[parent[64w+b]]) and the parent image its scatter dual —
-//     both stream the tree columns instead of chasing
+//     sources[parent[64w+b]]) and the parent image a gather over the
+//     child-slot column folded onto the parents (segmented OR plus
+//     compaction) — both stream the tree columns instead of chasing
 //     first_child/next_sibling per source node. On dense frontiers at
 //     n >= 64k the streamed path should be >= 2x the ctz-iteration
 //     (sparse) path; on sparse sources the auto dispatch must fall back
@@ -388,8 +389,9 @@ BENCHMARK(BM_ChildImageAuto)->RangeMultiplier(8)->Range(4096, 1 << 20)
 int main(int argc, char** argv) {
   xptc::bench::PrintHeader(
       "E14: density-adaptive streaming axis kernels",
-      "dense-frontier axis images stream the tree columns (gather/scatter "
-      "over parent[]) instead of chasing sibling pointers per source, and "
+      "dense-frontier axis images stream the tree columns (gathers over "
+      "parent[] and the child slots) instead of chasing sibling pointers "
+      "per source, and "
       "warm plans re-superoptimize under their measured execution profile "
       "[ISSUE 7]",
       "child/parent images forced-sparse vs forced-dense vs auto at "

@@ -51,9 +51,10 @@ void XorWordsGeneric(uint64_t* dst, const uint64_t* a, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] ^= a[i];
 }
 void CopyWordsGeneric(uint64_t* dst, const uint64_t* a, size_t n) {
-  // n == 0 may arrive with null pointers (empty sets); memmove's nonnull
-  // contract makes that UB even for zero lengths.
-  if (n != 0) std::memmove(dst, a, n * sizeof(uint64_t));
+  // n == 0 may arrive with null pointers (empty sets); memcpy's nonnull
+  // contract makes that UB even for zero lengths. dst == a is the one
+  // overlap the table allows, and copying a span onto itself is a no-op.
+  if (n != 0 && dst != a) std::memcpy(dst, a, n * sizeof(uint64_t));
 }
 void NotWordsGeneric(uint64_t* dst, const uint64_t* a, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] = ~a[i];
@@ -122,15 +123,61 @@ void GatherWordsGeneric(uint64_t* dst, const uint64_t* src, const int32_t* idx,
   // Assemble each output word from 64 gathered bits. The bit extractions
   // are independent (no loop-carried dependency except the final OR tree),
   // so the scalar loop still streams: 64 in-order loads per output word
-  // against the per-set-bit pointer chase it replaces.
+  // against the per-set-bit pointer chase it replaces. Blocks without a
+  // negative lane (every block of the parent and child-slot columns but
+  // the slot padding) skip the per-lane mask, which costs a third more.
   for (size_t w = 0; w < n; ++w) {
     const int32_t* ix = idx + w * 64;
+    int32_t any_negative = 0;
+    for (int b = 0; b < 64; ++b) any_negative |= ix[b];
     uint64_t out = 0;
-    for (int b = 0; b < 64; ++b) {
-      const uint32_t i = static_cast<uint32_t>(ix[b]);
-      out |= ((src[i >> 6] >> (i & 63)) & uint64_t{1}) << b;
+    if (any_negative >= 0) {
+      for (int b = 0; b < 64; ++b) {
+        const uint32_t i = static_cast<uint32_t>(ix[b]);
+        out |= ((src[i >> 6] >> (i & 63)) & uint64_t{1}) << b;
+      }
+    } else {
+      for (int b = 0; b < 64; ++b) {
+        const uint32_t i = static_cast<uint32_t>(ix[b] < 0 ? 0 : ix[b]);
+        const uint64_t keep = static_cast<uint64_t>(ix[b] >= 0);
+        out |= ((src[i >> 6] >> (i & 63)) & keep) << b;
+      }
     }
     dst[w] = out;
+  }
+}
+
+void CompactBitsGeneric(uint64_t* dst, const uint64_t* dst_mask, size_t dlo,
+                        size_t dhi, const uint64_t* src,
+                        const uint64_t* src_mask, size_t slo, size_t shi) {
+  // Without pext/pdep: walk the selected src and dst positions in
+  // lockstep, one step per moved bit, building each dst word in a
+  // register. Branch-free per bit except the refill of the next src word.
+  if (dlo >= dhi) return;
+  const size_t d_first = dlo >> 6, d_last = (dhi - 1) >> 6;
+  const size_t s_first = slo >> 6;
+  const size_t s_last = shi > slo ? (shi - 1) >> 6 : s_first;
+  const auto selected = [&](size_t i) {
+    uint64_t m = src_mask[i];
+    if (i == s_first) m &= RangeHeadMask(slo);
+    if (i == s_last) m &= RangeTailMask(shi);
+    return m;
+  };
+  size_t next = s_first;  // the next src word to load
+  size_t cur = s_first;
+  uint64_t sm = 0;  // selected src positions of word `cur` not yet moved
+  for (size_t w = d_first; w <= d_last; ++w) {
+    uint64_t m = dst_mask[w];
+    if (w == d_first) m &= RangeHeadMask(dlo);
+    if (w == d_last) m &= RangeTailMask(dhi);
+    uint64_t acc = 0;
+    for (; m != 0; m &= m - 1) {
+      while (sm == 0) sm = selected(cur = next++);
+      const uint64_t bit = (src[cur] >> __builtin_ctzll(sm)) & 1;
+      sm &= sm - 1;
+      acc |= m & (~m + 1) & (0 - bit);
+    }
+    dst[w] |= acc;
   }
 }
 
@@ -139,19 +186,24 @@ constexpr Kernels kGenericKernels = {
     AndNotWordsGeneric,     XorWordsGeneric,      CopyWordsGeneric,
     NotWordsGeneric,        AssignAndNotWordsGeneric,
     AssignOrNotWordsGeneric, PopcountWordsGeneric, AnyWordsGeneric,
-    SubsetWordsGeneric,     GatherWordsGeneric,   FillRangeGeneric,
-    OrRangeGeneric,
+    SubsetWordsGeneric,     GatherWordsGeneric,   CompactBitsGeneric,
+    FillRangeGeneric,       OrRangeGeneric,
 };
 
 // ---------------------------------------------------------------------------
-// AVX2 level: 4 words per 256-bit op. Function-level target("avx2") keeps
-// the rest of the binary baseline-x86_64; the tail (< 4 words) runs the
-// scalar epilogue. Popcount stays scalar — AVX2 has no vector popcount,
-// and the hardware popcnt the builtin emits already does a word per cycle.
+// AVX2 level: 4 words per 256-bit op. The function-level target keeps the
+// rest of the binary baseline-x86_64; the tail (< 4 words) runs the scalar
+// epilogue. Popcount stays a scalar loop — AVX2 has no vector popcount —
+// but it needs its own body here: the builtin only becomes the hardware
+// popcnt instruction (a word per cycle) inside a popcnt-enabled function,
+// and the generic body compiled for baseline x86-64 runs a software
+// bit-twiddle instead. The same goes for BMI2's pext/pdep in the
+// compaction kernel. Every AVX2 host also has BMI2 and popcnt; the level
+// probes all three.
 
 #if XPTC_SIMD_AVX2
 
-#define XPTC_AVX2 __attribute__((target("avx2")))
+#define XPTC_AVX2 __attribute__((target("avx2,bmi2,popcnt")))
 
 XPTC_AVX2 void OrWordsAvx2(uint64_t* dst, const uint64_t* a, size_t n) {
   size_t i = 0;
@@ -206,16 +258,6 @@ XPTC_AVX2 void XorWordsAvx2(uint64_t* dst, const uint64_t* a, size_t n) {
   for (; i < n; ++i) dst[i] ^= a[i];
 }
 
-XPTC_AVX2 void CopyWordsAvx2(uint64_t* dst, const uint64_t* a, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i];
-}
-
 XPTC_AVX2 void NotWordsAvx2(uint64_t* dst, const uint64_t* a, size_t n) {
   size_t i = 0;
   const __m256i ones = _mm256_set1_epi64x(-1);
@@ -257,6 +299,12 @@ XPTC_AVX2 void AssignOrNotWordsAvx2(uint64_t* dst, const uint64_t* a,
   for (; i < n; ++i) dst[i] = a[i] | ~b[i];
 }
 
+XPTC_AVX2 int64_t PopcountWordsAvx2(const uint64_t* a, size_t n) {
+  int64_t count = 0;
+  for (size_t i = 0; i < n; ++i) count += __builtin_popcountll(a[i]);
+  return count;
+}
+
 XPTC_AVX2 bool AnyWordsAvx2(const uint64_t* a, size_t n) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -292,9 +340,13 @@ XPTC_AVX2 void GatherWordsAvx2(uint64_t* dst, const uint64_t* src,
   // Hardware gather at 32-bit granularity: each lane fetches the 32-bit
   // half-word holding its bit (word index = idx >> 5), shifts its bit to
   // position 0, then to the sign position so movemask packs 8 lanes into
-  // 8 output bits. 8 gathers assemble one 64-bit output word.
+  // 8 output bits. 8 gathers assemble one 64-bit output word. Lanes with a
+  // negative index are masked off: they load nothing and keep the zero
+  // source operand, so their bit is 0.
   const int* src32 = reinterpret_cast<const int*>(src);
   const __m256i low5 = _mm256_set1_epi32(31);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i minus_one = _mm256_set1_epi32(-1);
   for (size_t w = 0; w < n; ++w) {
     const int32_t* ix = idx + w * 64;
     uint64_t out = 0;
@@ -303,7 +355,8 @@ XPTC_AVX2 void GatherWordsAvx2(uint64_t* dst, const uint64_t* src,
           reinterpret_cast<const __m256i*>(ix + g * 8));
       const __m256i half_idx = _mm256_srli_epi32(vidx, 5);
       const __m256i bit_idx = _mm256_and_si256(vidx, low5);
-      const __m256i halves = _mm256_i32gather_epi32(src32, half_idx, 4);
+      const __m256i halves = _mm256_mask_i32gather_epi32(
+          zero, src32, half_idx, _mm256_cmpgt_epi32(vidx, minus_one), 4);
       const __m256i bits = _mm256_srlv_epi32(halves, bit_idx);
       const int mask = _mm256_movemask_ps(
           _mm256_castsi256_ps(_mm256_slli_epi32(bits, 31)));
@@ -311,6 +364,43 @@ XPTC_AVX2 void GatherWordsAvx2(uint64_t* dst, const uint64_t* src,
              << (g * 8);
     }
     dst[w] = out;
+  }
+}
+
+XPTC_AVX2 void CompactBitsAvx2(uint64_t* dst, const uint64_t* dst_mask,
+                               size_t dlo, size_t dhi, const uint64_t* src,
+                               const uint64_t* src_mask, size_t slo,
+                               size_t shi) {
+  // A word at a time: pext packs each src word's selected bits onto a
+  // pending stream, pdep spreads the stream over each dst word's
+  // selected positions.
+  if (dlo >= dhi) return;
+  const size_t d_first = dlo >> 6, d_last = (dhi - 1) >> 6;
+  const size_t s_first = slo >> 6;
+  const size_t s_last = shi > slo ? (shi - 1) >> 6 : s_first;
+  // Bits pulled from src but not yet deposited: fewer than 64 before a
+  // pull, so at most 127 after one.
+  unsigned __int128 pending = 0;
+  int have = 0;
+  size_t si = s_first;
+  for (size_t w = d_first; w <= d_last; ++w) {
+    uint64_t m = dst_mask[w];
+    if (w == d_first) m &= RangeHeadMask(dlo);
+    if (w == d_last) m &= RangeTailMask(dhi);
+    const int need = __builtin_popcountll(m);
+    while (have < need) {
+      uint64_t sm = src_mask[si];
+      if (si == s_first) sm &= RangeHeadMask(slo);
+      if (si == s_last) sm &= RangeTailMask(shi);
+      pending |= static_cast<unsigned __int128>(_pext_u64(src[si], sm))
+                 << have;
+      have += __builtin_popcountll(sm);
+      ++si;
+    }
+    if (need == 0) continue;
+    dst[w] |= _pdep_u64(static_cast<uint64_t>(pending), m);
+    pending >>= need;
+    have -= need;
   }
 }
 
@@ -359,14 +449,18 @@ XPTC_AVX2 void OrRangeAvx2(uint64_t* dst, const uint64_t* src, size_t lo,
 
 constexpr Kernels kAvx2Kernels = {
     Level::kAvx2,         OrWordsAvx2,        AndWordsAvx2,
-    AndNotWordsAvx2,      XorWordsAvx2,       CopyWordsAvx2,
+    AndNotWordsAvx2,      XorWordsAvx2,       CopyWordsGeneric,
     NotWordsAvx2,         AssignAndNotWordsAvx2,
-    AssignOrNotWordsAvx2, PopcountWordsGeneric, AnyWordsAvx2,
-    SubsetWordsAvx2,      GatherWordsAvx2,    FillRangeAvx2,
-    OrRangeAvx2,
+    AssignOrNotWordsAvx2, PopcountWordsAvx2,  AnyWordsAvx2,
+    SubsetWordsAvx2,      GatherWordsAvx2,    CompactBitsAvx2,
+    FillRangeAvx2,        OrRangeAvx2,
 };
 
-bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
+bool CpuHasAvx2() {
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("bmi2") != 0 &&
+         __builtin_cpu_supports("popcnt") != 0;
+}
 
 #endif  // XPTC_SIMD_AVX2
 
@@ -494,7 +588,7 @@ constexpr Kernels kNeonKernels = {
     NotWordsNeon,         AssignAndNotWordsNeon,
     AssignOrNotWordsNeon, PopcountWordsGeneric, AnyWordsNeon,
     SubsetWordsNeon,      GatherWordsGeneric,  // NEON has no gather
-    FillRangeNeon,        OrRangeNeon,
+    CompactBitsGeneric,   FillRangeNeon,       OrRangeNeon,
 };
 
 #endif  // XPTC_SIMD_NEON
@@ -513,7 +607,8 @@ const Kernels* Detect() {
     if (std::strcmp(env, "generic") == 0) return &kGenericKernels;
 #if XPTC_SIMD_AVX2
     if (std::strcmp(env, "avx2") == 0) {
-      XPTC_CHECK(CpuHasAvx2()) << "XPTC_SIMD=avx2 but the CPU lacks AVX2";
+      XPTC_CHECK(CpuHasAvx2())
+          << "XPTC_SIMD=avx2 but the CPU lacks AVX2, BMI2 or POPCNT";
       return &kAvx2Kernels;
     }
 #endif

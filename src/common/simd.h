@@ -17,10 +17,12 @@ namespace simd {
 ///  - kGeneric — portable word-at-a-time loops, always available. This is
 ///    the semantic reference: every other level must be bit-identical
 ///    (tests/simd_kernels_test.cc enforces it on random inputs).
-///  - kAvx2   — 4 words per vector op, compiled as target("avx2")
-///    functions (the translation unit itself is built without -mavx2, so
-///    the binary still runs on non-AVX2 hosts) and selected only when
-///    `__builtin_cpu_supports("avx2")` says so.
+///  - kAvx2   — 4 words per vector op, compiled as target("avx2,bmi2,
+///    popcnt") functions (the translation unit itself is built for
+///    baseline x86-64, so the binary still runs on older hosts) and
+///    selected only when `__builtin_cpu_supports` reports all three.
+///    Besides the vector ops, this level is where the hardware popcnt and
+///    the BMI2 pext/pdep compaction live.
 ///  - kNeon   — 2 words per vector op on aarch64, where NEON is baseline.
 ///
 /// Selection: the `XPTC_SIMD` CMake option compiles the vector levels in
@@ -51,7 +53,8 @@ struct Kernels {
   void (*andnot_words)(uint64_t* dst, const uint64_t* a, size_t n);  // dst &= ~a
   void (*xor_words)(uint64_t* dst, const uint64_t* a, size_t n);
 
-  // Unary assign: dst[i] = f(a[i]).
+  // Unary assign: dst[i] = f(a[i]). `copy_words` is memcpy at every
+  // level: a vector loop measured slower than the library copy.
   void (*copy_words)(uint64_t* dst, const uint64_t* a, size_t n);
   void (*not_words)(uint64_t* dst, const uint64_t* a, size_t n);  // dst = ~a
 
@@ -68,14 +71,27 @@ struct Kernels {
   bool (*any_words)(const uint64_t* a, size_t n);
   bool (*subset_words)(const uint64_t* a, const uint64_t* b,
                        size_t n);  // (a & ~b) == 0 everywhere
-  // Bit gather: dst[w] bit b = src bit idx[64*w + b], for n output words
-  // (so idx has 64*n entries, each a valid non-negative bit index into
-  // src). The streaming axis kernels run this with idx pointing straight
-  // into a tree's preorder `parent_` column — child-image as one
-  // sequential pass. AVX2 uses hardware 32-bit gathers on the word halves;
-  // NEON has no gather and aliases the generic loop.
+  // Masked bit gather: dst[w] bit b = src bit idx[64*w + b], for n output
+  // words (so idx has 64*n entries); a negative index gives a 0 bit, every
+  // other index must be a valid bit index into src. The streaming axis
+  // kernels run this with idx pointing straight into a tree's id columns
+  // (`parent_`, the sibling links with their kNoNode = -1 ends, the child
+  // slots) — each image one sequential pass. AVX2 uses masked hardware
+  // 32-bit gathers on the word halves; NEON has no gather and aliases the
+  // generic loop.
   void (*gather_words)(uint64_t* dst, const uint64_t* src, const int32_t* idx,
                        size_t n);
+  // Bit compaction: the bits of `src` at the positions `src_mask` selects
+  // within bit range [slo, shi) are taken in order (pext) and OR-ed, in
+  // the same order, onto the positions `dst_mask` selects within
+  // [dlo, dhi) of `dst` (pdep). Both ranges must select equally many
+  // bits; bits of dst outside the selected positions are untouched. The
+  // parent-image kernel moves each child-slot run's result onto its
+  // parent with this. AVX2 uses BMI2 pext/pdep; the generic body walks
+  // the selected positions of both sides in lockstep.
+  void (*compact_bits)(uint64_t* dst, const uint64_t* dst_mask, size_t dlo,
+                       size_t dhi, const uint64_t* src,
+                       const uint64_t* src_mask, size_t slo, size_t shi);
 
   // Ranged kernels over *bit* positions: unlike the word kernels above,
   // these take a [lo, hi) bit range and handle the masked head/tail words

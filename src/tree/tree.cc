@@ -26,24 +26,18 @@ Tree Tree::ExtractSubtree(NodeId v) const {
   out.label_.resize(static_cast<size_t>(n));
   out.parent_.resize(static_cast<size_t>(n));
   out.first_child_.resize(static_cast<size_t>(n));
-  out.last_child_.resize(static_cast<size_t>(n));
   out.next_sibling_.resize(static_cast<size_t>(n));
   out.prev_sibling_.resize(static_cast<size_t>(n));
   out.depth_.resize(static_cast<size_t>(n));
   out.subtree_end_.resize(static_cast<size_t>(n));
-  out.subtree_size_.resize(static_cast<size_t>(n));
-  out.child_count_.resize(static_cast<size_t>(n));
   auto remap = [v](NodeId id) { return id == kNoNode ? kNoNode : id - v; };
   const int base_depth = Depth(v);
   for (NodeId w = v; w < end; ++w) {
     const size_t i = static_cast<size_t>(w - v);
     out.label_[i] = Label(w);
     out.first_child_[i] = remap(FirstChild(w));
-    out.last_child_[i] = remap(LastChild(w));
     out.depth_[i] = Depth(w) - base_depth;
     out.subtree_end_[i] = SubtreeEnd(w) - v;
-    out.subtree_size_[i] = SubtreeSize(w);
-    out.child_count_[i] = ChildCount(w);
     if (w == v) {
       // `v` becomes a root: detach it from its context.
       out.parent_[i] = kNoNode;
@@ -57,7 +51,43 @@ Tree Tree::ExtractSubtree(NodeId v) const {
       out.prev_sibling_[i] = remap(PrevSibling(w));
     }
   }
+  out.BuildChildSlots();
   return out;
+}
+
+void Tree::BuildChildSlots() {
+  const size_t n = label_.size();
+  const size_t slots = n == 0 ? 0 : n - 1;
+  const size_t padded = (slots + 63) & ~size_t{63};
+  // Counting sort by parent: count each parent's children into
+  // slot_begin_[p + 1], prefix-sum, then place children in preorder using
+  // slot_begin_[p] as p's cursor. Placement leaves slot_begin_[p] at p's
+  // end, which is p + 1's begin, so one shift restores the begins.
+  slot_begin_.assign(n + 1, 0);
+  for (size_t v = 1; v < n; ++v) {
+    ++slot_begin_[static_cast<size_t>(parent_[v]) + 1];
+  }
+  for (size_t v = 1; v <= n; ++v) slot_begin_[v] += slot_begin_[v - 1];
+  slot_child_.assign(padded, kNoNode);
+  for (size_t v = 1; v < n; ++v) {
+    slot_child_[static_cast<size_t>(
+        slot_begin_[static_cast<size_t>(parent_[v])]++)] =
+        static_cast<NodeId>(v);
+  }
+  if (n > 0) {
+    std::copy_backward(slot_begin_.begin(), slot_begin_.end() - 1,
+                       slot_begin_.end());
+    slot_begin_[0] = 0;
+  }
+  last_slot_.assign(padded / 64, 0);
+  has_child_.assign((n + 63) / 64, 0);
+  for (size_t v = 0; v < n; ++v) {
+    const int end = slot_begin_[v + 1];
+    if (end == slot_begin_[v]) continue;
+    const size_t last = static_cast<size_t>(end - 1);
+    last_slot_[last >> 6] |= uint64_t{1} << (last & 63);
+    has_child_[v >> 6] |= uint64_t{1} << (v & 63);
+  }
 }
 
 Tree Tree::RelabelNode(NodeId node, Symbol label) const {
@@ -192,42 +222,37 @@ std::string Tree::ToTerm(const Alphabet& alphabet) const {
 
 NodeId TreeBuilder::Begin(Symbol label) {
   const NodeId id = static_cast<NodeId>(tree_.label_.size());
-  const NodeId parent = open_.empty() ? kNoNode : open_.back();
+  const NodeId parent = open_.empty() ? kNoNode : open_.back().id;
   tree_.label_.push_back(label);
   tree_.parent_.push_back(parent);
   tree_.first_child_.push_back(kNoNode);
-  tree_.last_child_.push_back(kNoNode);
   tree_.next_sibling_.push_back(kNoNode);
   tree_.prev_sibling_.push_back(kNoNode);
   tree_.subtree_end_.push_back(kNoNode);
-  tree_.subtree_size_.push_back(0);
-  tree_.child_count_.push_back(0);
   if (parent == kNoNode) {
     tree_.depth_.push_back(0);
     ++root_count_;
   } else {
-    ++tree_.child_count_[static_cast<size_t>(parent)];
     tree_.depth_.push_back(tree_.depth_[static_cast<size_t>(parent)] + 1);
-    const NodeId prev = tree_.last_child_[static_cast<size_t>(parent)];
+    const NodeId prev = open_.back().last_child;
     if (prev == kNoNode) {
       tree_.first_child_[static_cast<size_t>(parent)] = id;
     } else {
       tree_.next_sibling_[static_cast<size_t>(prev)] = id;
       tree_.prev_sibling_[static_cast<size_t>(id)] = prev;
     }
-    tree_.last_child_[static_cast<size_t>(parent)] = id;
+    open_.back().last_child = id;
   }
-  open_.push_back(id);
+  open_.push_back({id, kNoNode});
   return id;
 }
 
 void TreeBuilder::End() {
   XPTC_CHECK(!open_.empty()) << "TreeBuilder::End with no open node";
-  const NodeId id = open_.back();
+  const NodeId id = open_.back().id;
   open_.pop_back();
-  const NodeId end = static_cast<NodeId>(tree_.label_.size());
-  tree_.subtree_end_[static_cast<size_t>(id)] = end;
-  tree_.subtree_size_[static_cast<size_t>(id)] = end - id;
+  tree_.subtree_end_[static_cast<size_t>(id)] =
+      static_cast<NodeId>(tree_.label_.size());
 }
 
 Result<Tree> TreeBuilder::Finish() && {
@@ -238,6 +263,7 @@ Result<Tree> TreeBuilder::Finish() && {
     return Status::InvalidArgument("tree must have exactly one root, got " +
                                    std::to_string(root_count_));
   }
+  tree_.BuildChildSlots();
   return std::move(tree_);
 }
 

@@ -1,6 +1,7 @@
 #ifndef XPTC_TREE_TREE_H_
 #define XPTC_TREE_TREE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,11 @@ class Tree {
   Symbol Label(NodeId v) const { return label_[Index(v)]; }
   NodeId Parent(NodeId v) const { return parent_[Index(v)]; }
   NodeId FirstChild(NodeId v) const { return first_child_[Index(v)]; }
-  NodeId LastChild(NodeId v) const { return last_child_[Index(v)]; }
+  NodeId LastChild(NodeId v) const {
+    const int end = slot_begin_[Index(v) + 1];
+    if (end == slot_begin_[Index(v)]) return kNoNode;
+    return slot_child_[static_cast<size_t>(end - 1)];
+  }
   NodeId NextSibling(NodeId v) const { return next_sibling_[Index(v)]; }
   NodeId PrevSibling(NodeId v) const { return prev_sibling_[Index(v)]; }
   int Depth(NodeId v) const { return depth_[Index(v)]; }
@@ -54,14 +59,33 @@ class Tree {
   const NodeId* NextSiblingData() const { return next_sibling_.data(); }
   const NodeId* PrevSiblingData() const { return prev_sibling_.data(); }
   const NodeId* SubtreeEndData() const { return subtree_end_.data(); }
-  const int* SubtreeSizeData() const { return subtree_size_.data(); }
+
+  // Child slots: the non-root nodes grouped by parent — parents in
+  // preorder, each parent's children in sibling order. The children of `v`
+  // occupy slots [SlotBegin(v), SlotBegin(v + 1)), so a subtree window
+  // [lo, hi) owns the contiguous slot range [SlotBegin(lo), SlotBegin(hi)).
+  // The parent-image kernel gathers source bits through this column, ORs
+  // each parent's run of slots together and compacts the runs onto the
+  // parents (xpath/axis_kernels.cc).
+  //
+  // `SlotBegin` takes v in [0, size()]. `SlotChildData()` holds
+  // `size() - 1` child ids padded with `kNoNode` to a whole number of
+  // 64-slot words, so word-at-a-time gathers never read past it.
+  // `LastSlotWords()` has bit s set iff slot s is its parent's last child
+  // slot (one word per 64 padded slots); `HasChildWords()` has bit v set
+  // iff `v` has a child (one word per 64 nodes).
+  int SlotBegin(NodeId v) const {
+    XPTC_DCHECK(v >= 0 && v <= size());
+    return slot_begin_[static_cast<size_t>(v)];
+  }
+  const NodeId* SlotChildData() const { return slot_child_.data(); }
+  const uint64_t* LastSlotWords() const { return last_slot_.data(); }
+  const uint64_t* HasChildWords() const { return has_child_.data(); }
 
   /// One past the last preorder id in the subtree of `v`.
   NodeId SubtreeEnd(NodeId v) const { return subtree_end_[Index(v)]; }
   /// Number of nodes in the subtree rooted at `v` (including `v`).
-  /// Materialized as its own preorder column (not derived per call) so the
-  /// interval axis kernels can stream it alongside `parent_`/`next_sibling_`.
-  int SubtreeSize(NodeId v) const { return subtree_size_[Index(v)]; }
+  int SubtreeSize(NodeId v) const { return SubtreeEnd(v) - v; }
 
   bool IsRoot(NodeId v) const { return Parent(v) == kNoNode; }
   bool IsLeaf(NodeId v) const { return FirstChild(v) == kNoNode; }
@@ -77,9 +101,11 @@ class Tree {
     return v >= ancestor && v < SubtreeEnd(ancestor);
   }
 
-  /// Number of children, O(1) (precomputed at build time — this is called
-  /// from hot evaluator loops).
-  int ChildCount(NodeId v) const { return child_count_[Index(v)]; }
+  /// Number of children, O(1) (the length of `v`'s child-slot run — this
+  /// is called from hot evaluator loops).
+  int ChildCount(NodeId v) const {
+    return slot_begin_[Index(v) + 1] - slot_begin_[Index(v)];
+  }
 
   /// Invokes `fn(NodeId child)` for each child of `v` in sibling order.
   /// The allocation-free alternative to `ChildrenOf` for hot paths.
@@ -142,16 +168,21 @@ class Tree {
     return static_cast<size_t>(v);
   }
 
+  // Derives the child-slot columns from `parent_` (preorder, so children
+  // of one parent arrive in sibling order).
+  void BuildChildSlots();
+
   std::vector<Symbol> label_;
   std::vector<NodeId> parent_;
   std::vector<NodeId> first_child_;
-  std::vector<NodeId> last_child_;
   std::vector<NodeId> next_sibling_;
   std::vector<NodeId> prev_sibling_;
   std::vector<int> depth_;
   std::vector<NodeId> subtree_end_;
-  std::vector<int> subtree_size_;
-  std::vector<int> child_count_;
+  std::vector<int> slot_begin_;
+  std::vector<NodeId> slot_child_;
+  std::vector<uint64_t> last_slot_;
+  std::vector<uint64_t> has_child_;
 };
 
 /// Incremental preorder construction of a `Tree`:
@@ -185,8 +216,14 @@ class TreeBuilder {
   Result<Tree> Finish() &&;
 
  private:
+  // An open node and its last child so far (kNoNode before the first).
+  struct OpenNode {
+    NodeId id;
+    NodeId last_child;
+  };
+
   Tree tree_;
-  std::vector<NodeId> open_;
+  std::vector<OpenNode> open_;
   int root_count_ = 0;
 };
 

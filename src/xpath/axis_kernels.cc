@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -185,6 +186,39 @@ bool UseStreamed(const Bitset& sources, NodeId lo, NodeId hi, int crossover) {
 static_assert(sizeof(NodeId) == sizeof(int32_t),
               "streaming axis kernels gather through int32 id columns");
 
+// The bit of `sources` at id `i`, or 0 for kNoNode.
+uint64_t SourceBit(const uint64_t* src, NodeId i) {
+  return i < 0 ? 0 : (src[static_cast<uint32_t>(i) >> 6] >> (i & 63)) & 1;
+}
+
+/// Gather form shared by the child and adjacent-sibling images: out bit v
+/// = sources bit link[v] for every interior node v of the window, with
+/// kNoNode links reading as 0. Interior nodes link only to interior nodes
+/// or the context root (parents, siblings), so the pass stays inside the
+/// window. Masked head/tail ids run scalar, whole 64-id words go through
+/// the dispatched bit-gather with the link column itself as the index
+/// vector.
+void GatherImage(const NodeId* link, const Bitset& sources, NodeId lo,
+                 NodeId hi, Bitset* out) {
+  const uint64_t* src = sources.words();
+  const NodeId first = lo + 1;  // the context root has no in-window links
+  if (first >= hi) return;
+  const NodeId head_end = std::min(hi, (first + 63) & ~63);
+  for (NodeId v = first; v < head_end; ++v) {
+    if (SourceBit(src, link[v])) out->Set(v);
+  }
+  const NodeId tail_begin = std::max(head_end, hi & ~63);
+  if (head_end < tail_begin) {
+    simd::Active().gather_words(
+        out->mutable_words() + (head_end >> 6), src,
+        reinterpret_cast<const int32_t*>(link + head_end),
+        static_cast<size_t>(tail_begin - head_end) >> 6);
+  }
+  for (NodeId v = tail_begin; v < hi; ++v) {
+    if (SourceBit(src, link[v])) out->Set(v);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Child image. Every node of (lo, hi) has its parent inside [lo, hi) (the
 // window is a subtree), so the dense form is total on the interior:
@@ -206,36 +240,15 @@ void ChildImageSparse(const Tree& tree, const Bitset& sources, NodeId lo,
 
 void ChildImageDense(const Tree& tree, const Bitset& sources, NodeId lo,
                      NodeId hi, Bitset* out) {
-  const NodeId* parent = tree.ParentData();
-  const uint64_t* src = sources.words();
-  const NodeId first = lo + 1;  // the context root has no in-window parent
-  if (first >= hi) return;
-  // Masked head/tail ids scalar, whole 64-id words through the dispatched
-  // bit-gather with the parent column itself as the index vector.
-  const NodeId head_end = std::min(hi, (first + 63) & ~63);
-  for (NodeId v = first; v < head_end; ++v) {
-    if (src[static_cast<uint32_t>(parent[v]) >> 6] >> (parent[v] & 63) & 1) {
-      out->Set(v);
-    }
-  }
-  const NodeId tail_begin = std::max(head_end, hi & ~63);
-  if (head_end < tail_begin) {
-    simd::Active().gather_words(
-        out->mutable_words() + (head_end >> 6), src,
-        reinterpret_cast<const int32_t*>(parent + head_end),
-        static_cast<size_t>(tail_begin - head_end) >> 6);
-  }
-  for (NodeId v = tail_begin; v < hi; ++v) {
-    if (src[static_cast<uint32_t>(parent[v]) >> 6] >> (parent[v] & 63) & 1) {
-      out->Set(v);
-    }
-  }
+  GatherImage(tree.ParentData(), sources, lo, hi, out);
 }
 
 // ---------------------------------------------------------------------------
-// Parent image. The dense form is the scatter dual: one branch-free
-// sequential pass over the parent column, OR-ing each node's source bit
-// into its parent's output slot.
+// Parent image. The dense form runs in the tree's child-slot space, where
+// each parent's children sit in one run of slots: gather the children's
+// source bits through the slot column, OR each run together, and compact
+// each run's result onto its parent. Every output word is built in a
+// register; no per-node read-modify-write of the output.
 
 void ParentImageSparse(const Tree& tree, const Bitset& sources, NodeId lo,
                        NodeId hi, Bitset* out) {
@@ -249,20 +262,51 @@ void ParentImageSparse(const Tree& tree, const Bitset& sources, NodeId lo,
 
 void ParentImageDense(const Tree& tree, const Bitset& sources, NodeId lo,
                       NodeId hi, Bitset* out) {
-  const NodeId* parent = tree.ParentData();
-  const uint64_t* src = sources.words();
-  uint64_t* dst = out->mutable_words();
-  for (NodeId v = lo + 1; v < hi; ++v) {
-    const uint64_t bit = src[static_cast<uint32_t>(v) >> 6] >> (v & 63) & 1;
-    const NodeId p = parent[v];  // p in [lo, v): never outside the window
-    dst[static_cast<uint32_t>(p) >> 6] |= bit << (p & 63);
+  // The window's parents own the slot range [s0, s1), which starts at a run
+  // start and ends at a run end.
+  const size_t s0 = static_cast<size_t>(tree.SlotBegin(lo));
+  const size_t s1 = static_cast<size_t>(tree.SlotBegin(hi));
+  if (s0 == s1) return;  // the context root is a leaf
+  const size_t w0 = s0 >> 6;
+  const size_t nwords = ((s1 + 63) >> 6) - w0;
+  // The slot column is padded with kNoNode to whole words, so the gather
+  // covers the head and tail words whole; slots outside [s0, s1) are
+  // other windows' children, which are never sources here.
+  thread_local std::vector<uint64_t> slot_bits;
+  if (slot_bits.size() < nwords) slot_bits.resize(nwords);
+  uint64_t* bits = slot_bits.data();
+  const simd::Kernels& k = simd::Active();
+  k.gather_words(bits, sources.words(),
+                 reinterpret_cast<const int32_t*>(tree.SlotChildData()) +
+                     w0 * 64,
+                 nwords);
+  // Segmented OR, one carry-chain add per word: every source bit below
+  // its run's last slot generates a carry (propagate + generate = 2) that
+  // runs through the rest of the run (propagate bits) and is absorbed on
+  // the last slot (a 0 in both operands), whose sum bit becomes 1. The
+  // result per run sits on its last slot: the carry that arrived there
+  // OR the last slot's own source bit.
+  const uint64_t* last = tree.LastSlotWords() + w0;
+  uint64_t carry = 0;
+  for (size_t j = 0; j < nwords; ++j) {
+    const uint64_t propagate = ~last[j];
+    const unsigned __int128 sum =
+        static_cast<unsigned __int128>(propagate) + (bits[j] & propagate) +
+        carry;
+    carry = static_cast<uint64_t>(sum >> 64);
+    bits[j] = (static_cast<uint64_t>(sum) | bits[j]) & last[j];
   }
+  // Runs ending in [s0, s1) and parents in [lo, hi) correspond one to one
+  // and in the same order.
+  k.compact_bits(out->mutable_words(), tree.HasChildWords(),
+                 static_cast<size_t>(lo), static_cast<size_t>(hi), bits,
+                 last, s0 & 63, s1 - (w0 << 6));
 }
 
 // ---------------------------------------------------------------------------
 // The remaining axes: batch-decoded set-bit iteration over the raw link
-// columns (sparse by nature — their images are link chases or id-range
-// writes that never probe every node of the window).
+// columns, next to the streamed or gather-form duals the density gate
+// picks on dense frontiers.
 
 void AncestorImage(const Tree& tree, const Bitset& sources, NodeId lo,
                    NodeId hi, Bitset* out) {
@@ -286,20 +330,29 @@ void AncestorImageSweep(const Tree& tree, const Bitset& sources, NodeId lo,
   // Interval stabbing, streamed: v is a strict ancestor of some source iff
   // the *nearest* source strictly after v (in preorder) still falls inside
   // v's subtree interval — sources past SubtreeEnd(v) are past every
-  // earlier source too. One backward pass over the `subtree_end_` column
-  // carrying that nearest-later-source id; branch-free in the loop body
-  // (the conditional compiles to a cmov), O(window) column reads total
-  // versus the O(sources × depth) parent chase.
+  // earlier source too. One backward pass a word at a time: `nearest`
+  // rides a register (one cmov per node), the source word is read by
+  // shifting each node's bit into the sign position, and the output word
+  // is assembled in a register and stored once — no per-node
+  // read-modify-write of the output, no variable shifts. O(window) column
+  // reads total versus the O(sources × depth) parent chase.
   const NodeId* subtree_end = tree.SubtreeEndData();
   const uint64_t* src = sources.words();
   uint64_t* dst = out->mutable_words();
-  NodeId nearest = hi;  // sentinel: no source after v (subtree_end <= hi)
-  for (NodeId v = hi - 1; v >= lo; --v) {
-    const uint64_t is_anc = static_cast<uint64_t>(nearest < subtree_end[v]);
-    dst[static_cast<uint32_t>(v) >> 6] |= is_anc << (v & 63);
-    const bool is_src =
-        (src[static_cast<uint32_t>(v) >> 6] >> (v & 63)) & 1;
-    nearest = is_src ? v : nearest;
+  NodeId nearest = hi;  // sentinel: no later source (subtree_end <= hi)
+  for (NodeId w = (hi - 1) >> 6; w >= (lo >> 6); --w) {
+    const NodeId base = w << 6;
+    const int b_lo = std::max(lo, base) - base;
+    const int b_hi = std::min(hi, base + 64) - base;
+    const NodeId* end = subtree_end + base;
+    uint64_t probe = src[w] << (64 - b_hi);  // bit b_hi - 1 on top
+    uint64_t acc = 0;
+    for (int b = b_hi - 1; b >= b_lo; --b) {
+      acc = (acc << 1) | static_cast<uint64_t>(nearest < end[b]);
+      nearest = static_cast<int64_t>(probe) < 0 ? base + b : nearest;
+      probe <<= 1;
+    }
+    dst[w] |= acc << b_lo;
   }
 }
 
@@ -445,7 +498,7 @@ bool AxisImageImpl(const Tree& tree, Axis axis, const Bitset& sources,
       break;
     case Axis::kAncestor:
       // The streamed sweep and sibling chains read sequential link columns
-      // the way the parent scatter does, so they share its crossover.
+      // the way the dense parent image does, so they share its crossover.
       if (UseStreamed(sources, lo, hi, cal.parent_dense_crossover)) {
         AncestorImageSweep(tree, sources, lo, hi, out);
         return true;
@@ -465,9 +518,21 @@ bool AxisImageImpl(const Tree& tree, Axis axis, const Bitset& sources,
       return dense;
     }
     case Axis::kNextSibling:
+      // Dense: v is the next sibling of a source iff its previous sibling
+      // is one (dually for left). One link lookup per source against one
+      // gathered bit per node: the sparse side is the parent image's
+      // chase, so its crossover gates.
+      if (UseDense(sources, lo, hi, cal.parent_dense_crossover)) {
+        GatherImage(tree.PrevSiblingData(), sources, lo, hi, out);
+        return true;
+      }
       AdjacentSiblingImage<true>(tree, sources, lo, hi, out);
       break;
     case Axis::kPrevSibling:
+      if (UseDense(sources, lo, hi, cal.parent_dense_crossover)) {
+        GatherImage(tree.NextSiblingData(), sources, lo, hi, out);
+        return true;
+      }
       AdjacentSiblingImage<false>(tree, sources, lo, hi, out);
       break;
     case Axis::kFollowingSibling:
@@ -568,11 +633,11 @@ Calibration CalibrateCrossover(const Tree& tree) {
     }
     return best;
   };
-  // Each vertical kernel pair is probed separately: the child dense
-  // gather streams several times faster per node than the parent dense
-  // scatter on wide-gather hardware, and the chase costs drift apart as
-  // the tree outgrows cache — one shared ratio routes one axis's sparse
-  // frontiers dense (or dense frontiers sparse) and loses that whole win.
+  // Each vertical kernel pair is probed separately: the child chase
+  // visits every child of a source while the parent chase does one lookup,
+  // and the chase costs drift apart as the tree outgrows cache — one
+  // shared ratio routes one axis's sparse frontiers dense (or dense
+  // frontiers sparse) and loses that whole win.
   const auto ratio_of = [&](auto&& sparse_fn, auto&& dense_fn) {
     const int64_t sparse_ns = time_ns(sparse_fn);
     const int64_t dense_ns = time_ns(dense_fn);

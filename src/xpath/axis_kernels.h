@@ -17,17 +17,22 @@ namespace xptc {
 ///  - sparse path: iterate the set bits of `sources` (batch-decoded a word
 ///    at a time — `Bitset::DecodeWord`, no lambda call per bit) and chase
 ///    the per-node links. Cost O(|sources| + |image|).
-///  - dense path (child/parent): one sequential pass over the preorder
-///    `parent_` column. Child-image is a bit-gather — out bit v =
-///    sources[parent_[v]], SIMD-gathered through the `gather_words`
-///    dispatch kernel (common/simd.h); parent-image is the branch-free
-///    scatter dual. Cost O(window), bandwidth-bound instead of
-///    latency-bound.
+///  - dense path (child/parent/right/left): sequential bit-gathers through
+///    the tree's id columns with the `gather_words` dispatch kernel
+///    (common/simd.h). Child-image: out bit v = sources[parent_[v]];
+///    right/left: out bit v = sources[prev_sibling_[v]] /
+///    sources[next_sibling_[v]], kNoNode reading as 0. Parent-image runs
+///    in child-slot space (Tree::SlotChildData): gather each child's bit
+///    into its parent's slot run, OR every run with one carry-chain add per
+///    64 slots, and compact each run's bit onto its parent
+///    (`compact_bits`). Every output word is built in a register. Cost
+///    O(window), bandwidth-bound instead of latency-bound.
 ///  - interval/streamed path (the closure axes, DESIGN.md §15):
 ///    descendant is a union of `fill_range` writes over preorder subtree
 ///    intervals [v+1, SubtreeEnd(v)) with covered intervals skipped;
-///    ancestor is interval stabbing — one branch-free *backward* sweep
-///    tracking the nearest later source against the `subtree_end_` column;
+///    ancestor is interval stabbing — one *backward* sweep tracking the
+///    nearest later source against the `subtree_end_` column, a word of
+///    output per register;
 ///    following/preceding-sibling chains are one branch-free pass over the
 ///    `prev_sibling_`/`next_sibling_` link columns propagating along
 ///    chains. All are O(window/64 + |sources|) single passes, no
@@ -97,14 +102,15 @@ inline constexpr int kDensityProbeWords = 64;
 /// tree shape (cache locality of the chase) and hardware; `TreeCache`
 /// measures it once at admission and every evaluation on that tree
 /// consults it through the calibrated `AxisImageInto` overload. The two
-/// vertical axes get independent crossovers because their dense paths
-/// amortize very differently — the child image is a sequential gather,
-/// the parent image a scatter, and the measured per-node costs sit an
-/// order of magnitude apart on wide-gather hardware (a single shared
-/// ratio mispredicts whichever axis it was not measured on, by up to the
-/// same factor). The parent crossover also gates the streamed closure
-/// sweeps (ancestor, sibling chains), whose cost model is the same
-/// sequential-column-scan-vs-chase trade. A default-constructed
+/// vertical axes get independent crossovers because their sparse chases
+/// cost very differently — the child chase walks every child of each
+/// source through `first_child_`/`next_sibling_`, the parent chase is one
+/// lookup per source — and the gap widens as the tree outgrows cache (a
+/// single shared ratio mispredicts whichever axis it was not measured
+/// on). The parent crossover also gates the adjacent-sibling gathers,
+/// whose sparse side is the same one-lookup-per-source chase, and the
+/// streamed closure sweeps (ancestor, sibling chains), whose cost model is
+/// the same sequential-column-scan-vs-chase trade. A default-constructed
 /// Calibration reproduces the fixed-constant policy.
 struct Calibration {
   int child_dense_crossover = kDenseCrossover;

@@ -261,6 +261,79 @@ TEST(AxisKernelsTest, CalibratedCrossoverStaysExact) {
   }
 }
 
+// The dense parent image works in child-slot space: a window [lo, hi) owns
+// the slots [SlotBegin(lo), SlotBegin(hi)), which in general start and end
+// mid-word, while the window itself starts and ends mid-word in node
+// space. Windows with both slot ends mid-word, at sizes on both sides of
+// kDenseMinWindow, must match the reference under forced-dense and auto
+// dispatch at every SIMD level (the gather and the compaction have scalar
+// and vector forms), for the parent image and the other gather-form
+// images.
+TEST(AxisKernelsTest, DenseImagesOnMidWordSlotWindows) {
+  ModeGuard guard;
+  struct LevelGuard {
+    ~LevelGuard() { simd::ResetLevelForTesting(); }
+  } level_guard;
+  Alphabet alphabet;
+  Rng rng(20260810);
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);
+  std::vector<simd::Level> levels = {simd::Level::kGeneric};
+  for (simd::Level level : {simd::Level::kAvx2, simd::Level::kNeon}) {
+    if (simd::LevelAvailable(level)) levels.push_back(level);
+  }
+  const Axis axes[] = {Axis::kParent,      Axis::kChild,
+                       Axis::kNextSibling, Axis::kPrevSibling,
+                       Axis::kAncestor,    Axis::kAncestorOrSelf};
+  int windows_checked = 0;
+  for (TreeShape shape :
+       {TreeShape::kUniformRecursive, TreeShape::kCaterpillar,
+        TreeShape::kFullBinary}) {
+    TreeGenOptions options;
+    options.num_nodes = 6000;
+    options.shape = shape;
+    const Tree tree = GenerateTree(options, labels, &rng);
+    std::vector<NodeId> roots;
+    int large = 0;
+    for (NodeId v = 1; v < tree.size() && roots.size() < 8; ++v) {
+      const NodeId end = tree.SubtreeEnd(v);
+      if (tree.SlotBegin(v) % 64 == 0 || tree.SlotBegin(end) % 64 == 0 ||
+          end - v < 16) {
+        continue;
+      }
+      const bool is_large = end - v >= axis::kDenseMinWindow;
+      if (!is_large && roots.size() - large >= 4) continue;
+      large += is_large;
+      roots.push_back(v);
+    }
+    ASSERT_GT(large, 0) << "shape " << static_cast<int>(shape);
+    for (NodeId lo : roots) {
+      const NodeId hi = tree.SubtreeEnd(lo);
+      for (double density : {0.05, 0.5, 1.0}) {
+        const Bitset sources = RandomSources(tree, lo, hi, density, &rng);
+        for (Axis axis : axes) {
+          const Bitset expected = ReferenceImage(tree, axis, sources, lo, hi);
+          for (simd::Level level : levels) {
+            simd::SetLevelForTesting(level);
+            for (axis::Mode mode : {axis::Mode::kDense, axis::Mode::kAuto}) {
+              axis::SetModeForTesting(mode);
+              Bitset got(tree.size());
+              AxisImageInto(tree, axis, sources, lo, hi, &got);
+              ASSERT_EQ(got, expected)
+                  << AxisToString(axis) << " level="
+                  << simd::LevelName(level)
+                  << " mode=" << static_cast<int>(mode) << " window=[" << lo
+                  << "," << hi << ") slots=[" << tree.SlotBegin(lo) << ","
+                  << tree.SlotBegin(hi) << ") density=" << density;
+            }
+          }
+        }
+      }
+      ++windows_checked;
+    }
+  }
+  EXPECT_GE(windows_checked, 12);
+}
+
 // The auto crossover must pick the dense path for saturated windows and
 // the sparse path for near-empty ones (observable via registry counters).
 TEST(AxisKernelsTest, AutoDispatchFollowsDensity) {

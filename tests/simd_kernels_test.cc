@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -184,34 +185,108 @@ TEST(SimdKernelsTest, InPlaceKernelsTolerateAliasedOperands) {
 }
 
 TEST(SimdKernelsTest, GatherKernelMatchesPerBitReference) {
-  // dst[w] bit b = src bit idx[64*w + b] — checked per bit against a naive
-  // extraction at every level, with indices spanning the whole source
-  // (including repeats, which the streaming child-image relies on: many
-  // nodes share one parent).
+  // dst[w] bit b = src bit idx[64*w + b], 0 for a negative index — checked
+  // per bit against a naive extraction at every level, with indices
+  // spanning the whole source (including repeats, which the streaming
+  // child-image relies on: many nodes share one parent), with no
+  // negative index or a quarter of them negative (the sibling images
+  // gather through link columns whose chain ends are kNoNode = -1).
   Rng rng(606);
   for (size_t n : {size_t{1}, size_t{2}, size_t{5}, size_t{16}, size_t{63}}) {
-    const size_t src_words = 7;
-    const std::vector<uint64_t> src = RandomWords(src_words, &rng);
-    std::vector<int32_t> idx(n * 64);
-    for (int32_t& i : idx) {
-      i = static_cast<int32_t>(rng.NextBelow(src_words * 64));
-    }
-    std::vector<uint64_t> expected(n);
-    for (size_t w = 0; w < n; ++w) {
-      uint64_t word = 0;
-      for (int b = 0; b < 64; ++b) {
-        const int32_t i = idx[w * 64 + static_cast<size_t>(b)];
-        word |= ((src[static_cast<size_t>(i) >> 6] >> (i & 63)) & 1ull)
-                << b;
+    for (bool negatives : {false, true}) {
+      const size_t src_words = 7;
+      const std::vector<uint64_t> src = RandomWords(src_words, &rng);
+      std::vector<int32_t> idx(n * 64);
+      for (int32_t& i : idx) {
+        if (negatives && rng.NextBelow(4) == 0) {
+          const auto magnitude = static_cast<int32_t>(rng.NextBelow(1u << 30));
+          i = rng.NextBool() ? -1 : -1 - magnitude;
+        } else {
+          i = static_cast<int32_t>(rng.NextBelow(src_words * 64));
+        }
       }
-      expected[w] = word;
+      std::vector<uint64_t> expected(n);
+      for (size_t w = 0; w < n; ++w) {
+        uint64_t word = 0;
+        for (int b = 0; b < 64; ++b) {
+          const int32_t i = idx[w * 64 + static_cast<size_t>(b)];
+          if (i < 0) continue;
+          word |= ((src[static_cast<size_t>(i) >> 6] >> (i & 63)) & 1ull)
+                  << b;
+        }
+        expected[w] = word;
+      }
+      for (Level level : AvailableLevels()) {
+        std::vector<uint64_t> actual(n, 0xfeedfacefeedfaceull);
+        KernelsFor(level).gather_words(actual.data(), src.data(), idx.data(),
+                                       n);
+        EXPECT_EQ(actual, expected)
+            << "gather level=" << LevelName(level) << " n=" << n
+            << " negatives=" << negatives;
+      }
+    }
+  }
+}
+
+// compact_bits moves the src bits selected within [slo, shi), in order,
+// onto the dst positions selected within [dlo, dhi). Ranges start and end
+// mid-word, masks carry selected bits outside the ranges that must be
+// ignored, and the selected counts range from none to several words'
+// worth. Checked per bit against a position-list reference at every level.
+TEST(SimdKernelsTest, CompactKernelMatchesPerBitReferenceAtEveryLevel) {
+  Rng rng(808);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t dst_bits = 1 + rng.NextBelow(700);
+    const size_t dst_words = (dst_bits + 63) / 64;
+    size_t dlo = rng.NextBelow(dst_bits + 1);
+    size_t dhi = rng.NextBelow(dst_bits + 1);
+    if (dlo > dhi) std::swap(dlo, dhi);
+    const double dst_density = rng.NextBool(0.5) ? 0.5 : 0.05;
+    std::vector<uint64_t> dst_mask(dst_words);
+    std::vector<size_t> dst_pos;
+    for (size_t bit = 0; bit < dst_bits; ++bit) {
+      if (!rng.NextBool(dst_density)) continue;
+      dst_mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+      if (bit >= dlo && bit < dhi) dst_pos.push_back(bit);
+    }
+    // A source range with exactly dst_pos.size() selected bits inside it,
+    // plus noise selected outside it.
+    const size_t k = dst_pos.size();
+    const size_t span = k + rng.NextBelow(k + 130);
+    const size_t slo = rng.NextBelow(130);
+    const size_t shi = slo + span;
+    const size_t src_words = (shi + 64 + 63) / 64;
+    std::vector<uint64_t> src_mask(src_words);
+    for (size_t bit = 0; bit < src_words * 64; ++bit) {
+      if ((bit < slo || bit >= shi) && rng.NextBool(0.5)) {
+        src_mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+      }
+    }
+    std::vector<size_t> src_pos;
+    for (size_t bit = slo; bit < shi; ++bit) {
+      // Select k of the span's positions: the remaining count over the
+      // remaining positions.
+      if (rng.NextBelow(shi - bit) < k - src_pos.size()) {
+        src_mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+        src_pos.push_back(bit);
+      }
+    }
+    ASSERT_EQ(src_pos.size(), k);
+    const std::vector<uint64_t> src = RandomWords(src_words, &rng);
+    const std::vector<uint64_t> base = RandomWords(dst_words, &rng);
+    std::vector<uint64_t> expected = base;
+    for (size_t i = 0; i < k; ++i) {
+      const uint64_t bit = (src[src_pos[i] >> 6] >> (src_pos[i] & 63)) & 1;
+      expected[dst_pos[i] >> 6] |= bit << (dst_pos[i] & 63);
     }
     for (Level level : AvailableLevels()) {
-      std::vector<uint64_t> actual(n, 0xfeedfacefeedfaceull);
-      KernelsFor(level).gather_words(actual.data(), src.data(), idx.data(),
-                                     n);
-      EXPECT_EQ(actual, expected)
-          << "gather level=" << LevelName(level) << " n=" << n;
+      std::vector<uint64_t> got = base;
+      KernelsFor(level).compact_bits(got.data(), dst_mask.data(), dlo, dhi,
+                                     src.data(), src_mask.data(), slo, shi);
+      ASSERT_EQ(got, expected)
+          << "compact level=" << LevelName(level) << " trial=" << trial
+          << " dst [" << dlo << "," << dhi << ") src [" << slo << ","
+          << shi << ") k=" << k;
     }
   }
 }

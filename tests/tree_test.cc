@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/alphabet.h"
 #include "common/rng.h"
 #include "tree/enumerate.h"
 #include "tree/generate.h"
+#include "tree/xml.h"
 
 namespace xptc {
 namespace {
@@ -135,6 +138,80 @@ TEST(TreeTest, RelabelNode) {
   EXPECT_EQ(relabeled.ToTerm(alphabet), "a(z,c)");
   // Original untouched.
   EXPECT_EQ(tree.ToTerm(alphabet), "a(b,c)");
+}
+
+bool WordBit(const uint64_t* words, int i) {
+  return (words[i >> 6] >> (i & 63)) & 1;
+}
+
+// The child-slot columns and the accessors derived from them, checked
+// against the sibling links: every parent's slots hold exactly its
+// children in sibling order, the last-slot and has-child bits mark the
+// runs, the padding past the last slot reads kNoNode, and ChildCount,
+// LastChild and SubtreeSize equal a ForEachChild/SubtreeEnd walk.
+void ExpectChildSlotsMatchLinks(const Tree& tree) {
+  const int n = tree.size();
+  const int slots = n - 1;
+  ASSERT_EQ(tree.SlotBegin(0), 0);
+  ASSERT_EQ(tree.SlotBegin(n), slots);
+  const NodeId* slot_child = tree.SlotChildData();
+  for (NodeId v = 0; v < n; ++v) {
+    std::vector<NodeId> children;
+    int size = 1;
+    tree.ForEachChild(v, [&](NodeId c) {
+      children.push_back(c);
+      size += tree.SubtreeEnd(c) - c;
+    });
+    const int begin = tree.SlotBegin(v);
+    const int end = tree.SlotBegin(v + 1);
+    ASSERT_EQ(std::vector<NodeId>(slot_child + begin, slot_child + end),
+              children)
+        << "node " << v;
+    EXPECT_EQ(tree.ChildCount(v), static_cast<int>(children.size()));
+    EXPECT_EQ(tree.LastChild(v), children.empty() ? kNoNode : children.back());
+    EXPECT_EQ(tree.SubtreeSize(v), size) << "node " << v;
+    EXPECT_EQ(WordBit(tree.HasChildWords(), v), !children.empty());
+    for (int s = begin; s < end; ++s) {
+      EXPECT_EQ(WordBit(tree.LastSlotWords(), s), s == end - 1)
+          << "node " << v << " slot " << s;
+    }
+  }
+  for (int s = slots; s % 64 != 0; ++s) {
+    EXPECT_EQ(slot_child[s], kNoNode) << "padding slot " << s;
+    EXPECT_FALSE(WordBit(tree.LastSlotWords(), s)) << "padding slot " << s;
+  }
+}
+
+TEST(TreeTest, ChildSlotsMatchLinksOnEveryConstructor) {
+  Alphabet alphabet;
+  const Tree term =
+      Tree::FromTerm("a(b(d,e,f(g,h)),c,i(j(k),l))", &alphabet).ValueOrDie();
+  ExpectChildSlotsMatchLinks(term);
+  ExpectChildSlotsMatchLinks(Tree::FromTerm("a", &alphabet).ValueOrDie());
+  const Tree xml =
+      ParseXml("<a><b><c/><d>text<e/></d></b><f/><g><h/></g></a>", &alphabet)
+          .ValueOrDie();
+  ExpectChildSlotsMatchLinks(xml);
+  ExpectChildSlotsMatchLinks(term.ExtractSubtree(1));
+  ExpectChildSlotsMatchLinks(term.ExtractSubtree(8));
+  ExpectChildSlotsMatchLinks(term.RelabelNode(2, alphabet.Intern("z")));
+  // Multi-word slot columns: every generated shape, plus subtrees and a
+  // relabelling of the largest, and its XML round trip.
+  Rng rng(31);
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 3);
+  for (TreeShape shape :
+       {TreeShape::kUniformRecursive, TreeShape::kChain, TreeShape::kStar,
+        TreeShape::kFullBinary, TreeShape::kCaterpillar}) {
+    TreeGenOptions options;
+    options.num_nodes = 700;
+    options.shape = shape;
+    const Tree tree = GenerateTree(options, labels, &rng);
+    ExpectChildSlotsMatchLinks(tree);
+    ExpectChildSlotsMatchLinks(tree.ExtractSubtree(tree.size() / 5));
+    ExpectChildSlotsMatchLinks(tree.RelabelNode(tree.size() / 2, labels[0]));
+    ExpectChildSlotsMatchLinks(
+        ParseXml(WriteXml(tree, alphabet), &alphabet).ValueOrDie());
+  }
 }
 
 TEST(GenerateTest, ShapesHaveRequestedSizes) {
