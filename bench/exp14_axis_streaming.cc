@@ -7,11 +7,11 @@
 //     one sequential gather over the parent column (out[w] bit b =
 //     sources[parent[64w+b]]) and the parent image a gather over the
 //     child-slot column folded onto the parents (segmented OR plus
-//     compaction) — both stream the tree columns instead of chasing
-//     first_child/next_sibling per source node. On dense frontiers at
-//     n >= 64k the streamed path should be >= 2x the ctz-iteration
-//     (sparse) path; on sparse sources the auto dispatch must fall back
-//     to ctz iteration and tie.
+//     compaction) — both stream the tree columns instead of walking
+//     each source node's child-slot run or parent link. On dense
+//     frontiers at n >= 64k the streamed path should be >= 2x the
+//     ctz-iteration (sparse) path; on sparse sources the auto dispatch
+//     must fall back to ctz iteration and tie.
 //
 //  2. End to end: child/parent-heavy compiled workloads (star fixpoints
 //     whose frontiers saturate) inherit the win through the auto

@@ -42,7 +42,7 @@ enum class Op : uint8_t {
   // families apart; execution is identical modulo the axis operand.
   kDescFill,  // axis ∈ {desc} — preorder interval range-fill union
   kAncMark,   // axis ∈ {anc} — interval-stabbing backward sweep
-  kSibChain,  // axis ∈ {fsib, psib} — streamed sibling-chain pass
+  kSibChain,  // axis ∈ {fsib, psib} — slot-space sibling-closure pass
 };
 
 struct Instr {

@@ -25,7 +25,6 @@ Tree Tree::ExtractSubtree(NodeId v) const {
   Tree out;
   out.label_.resize(static_cast<size_t>(n));
   out.parent_.resize(static_cast<size_t>(n));
-  out.first_child_.resize(static_cast<size_t>(n));
   out.next_sibling_.resize(static_cast<size_t>(n));
   out.prev_sibling_.resize(static_cast<size_t>(n));
   out.depth_.resize(static_cast<size_t>(n));
@@ -35,7 +34,6 @@ Tree Tree::ExtractSubtree(NodeId v) const {
   for (NodeId w = v; w < end; ++w) {
     const size_t i = static_cast<size_t>(w - v);
     out.label_[i] = Label(w);
-    out.first_child_[i] = remap(FirstChild(w));
     out.depth_[i] = Depth(w) - base_depth;
     out.subtree_end_[i] = SubtreeEnd(w) - v;
     if (w == v) {
@@ -61,18 +59,20 @@ void Tree::BuildChildSlots() {
   const size_t padded = (slots + 63) & ~size_t{63};
   // Counting sort by parent: count each parent's children into
   // slot_begin_[p + 1], prefix-sum, then place children in preorder using
-  // slot_begin_[p] as p's cursor. Placement leaves slot_begin_[p] at p's
-  // end, which is p + 1's begin, so one shift restores the begins.
+  // slot_begin_[p] as p's cursor (recording each child's slot in
+  // slot_of_). Placement leaves slot_begin_[p] at p's end, which is
+  // p + 1's begin, so one shift restores the begins.
   slot_begin_.assign(n + 1, 0);
   for (size_t v = 1; v < n; ++v) {
     ++slot_begin_[static_cast<size_t>(parent_[v]) + 1];
   }
   for (size_t v = 1; v <= n; ++v) slot_begin_[v] += slot_begin_[v - 1];
   slot_child_.assign(padded, kNoNode);
+  slot_of_.assign(n, -1);
   for (size_t v = 1; v < n; ++v) {
-    slot_child_[static_cast<size_t>(
-        slot_begin_[static_cast<size_t>(parent_[v])]++)] =
-        static_cast<NodeId>(v);
+    const int slot = slot_begin_[static_cast<size_t>(parent_[v])]++;
+    slot_child_[static_cast<size_t>(slot)] = static_cast<NodeId>(v);
+    slot_of_[v] = slot;
   }
   if (n > 0) {
     std::copy_backward(slot_begin_.begin(), slot_begin_.end() - 1,
@@ -225,7 +225,6 @@ NodeId TreeBuilder::Begin(Symbol label) {
   const NodeId parent = open_.empty() ? kNoNode : open_.back().id;
   tree_.label_.push_back(label);
   tree_.parent_.push_back(parent);
-  tree_.first_child_.push_back(kNoNode);
   tree_.next_sibling_.push_back(kNoNode);
   tree_.prev_sibling_.push_back(kNoNode);
   tree_.subtree_end_.push_back(kNoNode);
@@ -235,9 +234,7 @@ NodeId TreeBuilder::Begin(Symbol label) {
   } else {
     tree_.depth_.push_back(tree_.depth_[static_cast<size_t>(parent)] + 1);
     const NodeId prev = open_.back().last_child;
-    if (prev == kNoNode) {
-      tree_.first_child_[static_cast<size_t>(parent)] = id;
-    } else {
+    if (prev != kNoNode) {
       tree_.next_sibling_[static_cast<size_t>(prev)] = id;
       tree_.prev_sibling_[static_cast<size_t>(id)] = prev;
     }

@@ -37,7 +37,11 @@ class Tree {
 
   Symbol Label(NodeId v) const { return label_[Index(v)]; }
   NodeId Parent(NodeId v) const { return parent_[Index(v)]; }
-  NodeId FirstChild(NodeId v) const { return first_child_[Index(v)]; }
+  NodeId FirstChild(NodeId v) const {
+    const int begin = slot_begin_[Index(v)];
+    if (begin == slot_begin_[Index(v) + 1]) return kNoNode;
+    return slot_child_[static_cast<size_t>(begin)];
+  }
   NodeId LastChild(NodeId v) const {
     const int end = slot_begin_[Index(v) + 1];
     if (end == slot_begin_[Index(v)]) return kNoNode;
@@ -55,7 +59,6 @@ class Tree {
   // (`kNoNode` sentinels included), so bounds discipline is the caller's.
   const Symbol* LabelData() const { return label_.data(); }
   const NodeId* ParentData() const { return parent_.data(); }
-  const NodeId* FirstChildData() const { return first_child_.data(); }
   const NodeId* NextSiblingData() const { return next_sibling_.data(); }
   const NodeId* PrevSiblingData() const { return prev_sibling_.data(); }
   const NodeId* SubtreeEndData() const { return subtree_end_.data(); }
@@ -66,11 +69,14 @@ class Tree {
   // [lo, hi) owns the contiguous slot range [SlotBegin(lo), SlotBegin(hi)).
   // The parent-image kernel gathers source bits through this column, ORs
   // each parent's run of slots together and compacts the runs onto the
-  // parents (xpath/axis_kernels.cc).
+  // parents; the sibling-closure kernels scan each run and gather the
+  // result back to preorder through `SlotOfData()` (xpath/axis_kernels.cc).
   //
   // `SlotBegin` takes v in [0, size()]. `SlotChildData()` holds
   // `size() - 1` child ids padded with `kNoNode` to a whole number of
   // 64-slot words, so word-at-a-time gathers never read past it.
+  // `SlotOfData()` is its inverse, one entry per node: the slot holding
+  // `v`, -1 for the root.
   // `LastSlotWords()` has bit s set iff slot s is its parent's last child
   // slot (one word per 64 padded slots); `HasChildWords()` has bit v set
   // iff `v` has a child (one word per 64 nodes).
@@ -79,6 +85,7 @@ class Tree {
     return slot_begin_[static_cast<size_t>(v)];
   }
   const NodeId* SlotChildData() const { return slot_child_.data(); }
+  const int* SlotOfData() const { return slot_of_.data(); }
   const uint64_t* LastSlotWords() const { return last_slot_.data(); }
   const uint64_t* HasChildWords() const { return has_child_.data(); }
 
@@ -88,7 +95,7 @@ class Tree {
   int SubtreeSize(NodeId v) const { return SubtreeEnd(v) - v; }
 
   bool IsRoot(NodeId v) const { return Parent(v) == kNoNode; }
-  bool IsLeaf(NodeId v) const { return FirstChild(v) == kNoNode; }
+  bool IsLeaf(NodeId v) const { return ChildCount(v) == 0; }
   bool IsFirstSibling(NodeId v) const { return PrevSibling(v) == kNoNode; }
   bool IsLastSibling(NodeId v) const { return NextSibling(v) == kNoNode; }
 
@@ -111,16 +118,15 @@ class Tree {
   /// The allocation-free alternative to `ChildrenOf` for hot paths.
   template <typename Fn>
   void ForEachChild(NodeId v, Fn&& fn) const {
-    for (NodeId c = FirstChild(v); c != kNoNode; c = NextSibling(c)) fn(c);
+    for (int s = slot_begin_[Index(v)]; s < slot_begin_[Index(v) + 1]; ++s) {
+      fn(slot_child_[static_cast<size_t>(s)]);
+    }
   }
 
   std::vector<NodeId> ChildrenOf(NodeId v) const {
-    std::vector<NodeId> out;
-    out.reserve(static_cast<size_t>(ChildCount(v)));
-    for (NodeId c = FirstChild(v); c != kNoNode; c = NextSibling(c)) {
-      out.push_back(c);
-    }
-    return out;
+    return std::vector<NodeId>(
+        slot_child_.begin() + slot_begin_[Index(v)],
+        slot_child_.begin() + slot_begin_[Index(v) + 1]);
   }
 
   /// Maximum depth over all nodes (root has depth 0).
@@ -174,13 +180,13 @@ class Tree {
 
   std::vector<Symbol> label_;
   std::vector<NodeId> parent_;
-  std::vector<NodeId> first_child_;
   std::vector<NodeId> next_sibling_;
   std::vector<NodeId> prev_sibling_;
   std::vector<int> depth_;
   std::vector<NodeId> subtree_end_;
   std::vector<int> slot_begin_;
   std::vector<NodeId> slot_child_;
+  std::vector<int> slot_of_;
   std::vector<uint64_t> last_slot_;
   std::vector<uint64_t> has_child_;
 };

@@ -163,7 +163,7 @@ bool UseDense(const Bitset& sources, NodeId lo, NodeId hi, int crossover) {
 }
 
 /// Dispatch gate for the streamed closure kernels (ancestor backward
-/// sweep, sibling chain passes): forced on by kDense *and* kInterval,
+/// sweep, slot-space sibling closures): forced on by kDense *and* kInterval,
 /// density-gated under kAuto — the streamed pass costs O(window) column
 /// reads like the dense child/parent paths, so the same crossover applies.
 bool UseStreamed(const Bitset& sources, NodeId lo, NodeId hi, int crossover) {
@@ -191,16 +191,15 @@ uint64_t SourceBit(const uint64_t* src, NodeId i) {
   return i < 0 ? 0 : (src[static_cast<uint32_t>(i) >> 6] >> (i & 63)) & 1;
 }
 
-/// Gather form shared by the child and adjacent-sibling images: out bit v
-/// = sources bit link[v] for every interior node v of the window, with
-/// kNoNode links reading as 0. Interior nodes link only to interior nodes
-/// or the context root (parents, siblings), so the pass stays inside the
-/// window. Masked head/tail ids run scalar, whole 64-id words go through
-/// the dispatched bit-gather with the link column itself as the index
-/// vector.
-void GatherImage(const NodeId* link, const Bitset& sources, NodeId lo,
+/// Gather form shared by the child, adjacent-sibling and sibling-closure
+/// images: out bit v = src bit link[v] for every interior node v of the
+/// window, with kNoNode links reading as 0. Interior nodes link only to
+/// interior nodes, the context root (parents, siblings) or the window's
+/// child slots, so the pass stays inside the window. Masked head/tail ids
+/// run scalar, whole 64-id words go through the dispatched bit-gather with
+/// the link column itself as the index vector.
+void GatherImage(const NodeId* link, const uint64_t* src, NodeId lo,
                  NodeId hi, Bitset* out) {
-  const uint64_t* src = sources.words();
   const NodeId first = lo + 1;  // the context root has no in-window links
   if (first >= hi) return;
   const NodeId head_end = std::min(hi, (first + 63) & ~63);
@@ -219,6 +218,13 @@ void GatherImage(const NodeId* link, const Bitset& sources, NodeId lo,
   }
 }
 
+// Per-thread scratch words for the slot-space kernels, grown on demand.
+uint64_t* SlotScratch(size_t words) {
+  thread_local std::vector<uint64_t> scratch;
+  if (scratch.size() < words) scratch.resize(words);
+  return scratch.data();
+}
+
 // ---------------------------------------------------------------------------
 // Child image. Every node of (lo, hi) has its parent inside [lo, hi) (the
 // window is a subtree), so the dense form is total on the interior:
@@ -226,13 +232,13 @@ void GatherImage(const NodeId* link, const Bitset& sources, NodeId lo,
 
 void ChildImageSparse(const Tree& tree, const Bitset& sources, NodeId lo,
                       NodeId hi, Bitset* out) {
-  const NodeId* first_child = tree.FirstChildData();
-  const NodeId* next_sibling = tree.NextSiblingData();
+  // Each source's children are one contiguous run of the slot column.
+  const NodeId* slot_child = tree.SlotChildData();
   sources.ForEachSetBitBatch(lo, hi, [&](const int32_t* idx, int count) {
     for (int k = 0; k < count; ++k) {
-      for (NodeId c = first_child[idx[k]]; c != kNoNode;
-           c = next_sibling[c]) {
-        out->Set(c);
+      const int end = tree.SlotBegin(idx[k] + 1);
+      for (int s = tree.SlotBegin(idx[k]); s < end; ++s) {
+        out->Set(slot_child[s]);
       }
     }
   });
@@ -240,7 +246,7 @@ void ChildImageSparse(const Tree& tree, const Bitset& sources, NodeId lo,
 
 void ChildImageDense(const Tree& tree, const Bitset& sources, NodeId lo,
                      NodeId hi, Bitset* out) {
-  GatherImage(tree.ParentData(), sources, lo, hi, out);
+  GatherImage(tree.ParentData(), sources.words(), lo, hi, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,9 +278,7 @@ void ParentImageDense(const Tree& tree, const Bitset& sources, NodeId lo,
   // The slot column is padded with kNoNode to whole words, so the gather
   // covers the head and tail words whole; slots outside [s0, s1) are
   // other windows' children, which are never sources here.
-  thread_local std::vector<uint64_t> slot_bits;
-  if (slot_bits.size() < nwords) slot_bits.resize(nwords);
-  uint64_t* bits = slot_bits.data();
+  uint64_t* bits = SlotScratch(nwords);
   const simd::Kernels& k = simd::Active();
   k.gather_words(bits, sources.words(),
                  reinterpret_cast<const int32_t*>(tree.SlotChildData()) +
@@ -391,41 +395,61 @@ void DescendantImageDense(const Tree& tree, const Bitset& sources, NodeId lo,
   }
 }
 
+// Bit i of x moves to bit 63 - i.
+uint64_t ReverseBits(uint64_t x) {
+  constexpr uint64_t k1 = 0x5555555555555555, k2 = 0x3333333333333333,
+                     k4 = 0x0F0F0F0F0F0F0F0F;
+  x = __builtin_bswap64(x);
+  x = ((x >> 4) & k4) | ((x & k4) << 4);
+  x = ((x >> 2) & k2) | ((x & k2) << 2);
+  return ((x >> 1) & k1) | ((x & k1) << 1);
+}
+
 template <bool kForward>
-void SiblingChainStream(const Tree& tree, const Bitset& sources, NodeId lo,
-                        NodeId hi, Bitset* out) {
-  // Streamed transitive sibling chains: v is in the fsib-image iff its
-  // previous sibling is a source or in the image (dually psib over next
-  // siblings, swept backward). Siblings of interior window nodes are
-  // interior themselves and previous siblings have smaller preorder ids,
-  // so one ordered pass over the link column settles every chain — no
-  // chain walking, no marked-stop probes. Branch-free body: missing links
-  // (kNoNode) read slot 0 and mask the bit to zero.
-  const NodeId* link =
-      kForward ? tree.PrevSiblingData() : tree.NextSiblingData();
-  const uint64_t* src = sources.words();
-  uint64_t* dst = out->mutable_words();
-  if (kForward) {
-    for (NodeId v = lo + 1; v < hi; ++v) {
-      const NodeId m = link[v];
-      const NodeId mm = m >= 0 ? m : 0;
-      const uint64_t ok = static_cast<uint64_t>(m >= 0);
-      const uint64_t bit = ok & ((src[static_cast<uint32_t>(mm) >> 6] |
-                                  dst[static_cast<uint32_t>(mm) >> 6]) >>
-                                 (mm & 63));
-      dst[static_cast<uint32_t>(v) >> 6] |= (bit & 1) << (v & 63);
-    }
-  } else {
-    for (NodeId v = hi - 1; v > lo; --v) {
-      const NodeId m = link[v];
-      const NodeId mm = m >= 0 ? m : 0;
-      const uint64_t ok = static_cast<uint64_t>(m >= 0);
-      const uint64_t bit = ok & ((src[static_cast<uint32_t>(mm) >> 6] |
-                                  dst[static_cast<uint32_t>(mm) >> 6]) >>
-                                 (mm & 63));
-      dst[static_cast<uint32_t>(v) >> 6] |= (bit & 1) << (v & 63);
-    }
+void SiblingClosureDense(const Tree& tree, const Bitset& sources, NodeId lo,
+                         NodeId hi, Bitset* out) {
+  // Slot space again: the window's child slots [s0, s1) hold each
+  // parent's children as one run in sibling order, so v is in the
+  // fsib-image iff some earlier slot of v's run holds a source (psib: some
+  // later slot). Gather the source bits into slots, turn each run into a
+  // segmented exclusive prefix with one carry-chain add per 64 slots, and
+  // gather the result back to preorder through the slot-of column.
+  const size_t s0 = static_cast<size_t>(tree.SlotBegin(lo));
+  const size_t s1 = static_cast<size_t>(tree.SlotBegin(hi));
+  if (s0 == s1) return;  // the context root is a leaf
+  const size_t w0 = s0 >> 6;
+  const size_t w1 = (s1 + 63) >> 6;
+  // Indexed by absolute slot, so the slot-of column gathers from it
+  // directly; only words [w0, w1) are written and read.
+  uint64_t* bits = SlotScratch(w1);
+  simd::Active().gather_words(
+      bits + w0, sources.words(),
+      reinterpret_cast<const int32_t*>(tree.SlotChildData()) + w0 * 64,
+      w1 - w0);
+  // Every source bit below the chain's stop slot generates a carry that
+  // runs on (propagate bits) to the stop, where both operands are 0 and it
+  // dies; the carry *into* each slot, sum ^ a ^ b, is "an earlier slot of
+  // this run, in chain order, is a source". Forward the stops are the
+  // runs' last slots; psib runs the same chain from high words to low on
+  // bit-reversed words, whose stops are the runs' first slots. Slots
+  // outside [s0, s1) hold no source but the context root's, whose run
+  // lies wholly below s0.
+  const uint64_t* last = tree.LastSlotWords();
+  uint64_t carry = 0;
+  for (size_t i = w0; i < w1; ++i) {
+    const size_t j = kForward ? i : w0 + w1 - 1 - i;
+    // A run's first slot follows the previous run's last slot.
+    const uint64_t first = (last[j] << 1) | (j > 0 ? last[j - 1] >> 63 : 1);
+    const uint64_t stop = kForward ? last[j] : ReverseBits(first);
+    const uint64_t a = ~stop;
+    const uint64_t b = (kForward ? bits[j] : ReverseBits(bits[j])) & a;
+    const unsigned __int128 sum =
+        static_cast<unsigned __int128>(a) + b + carry;
+    carry = static_cast<uint64_t>(sum >> 64);
+    const uint64_t carry_in = static_cast<uint64_t>(sum) ^ a ^ b;
+    bits[j] = kForward ? carry_in : ReverseBits(carry_in);
   }
+  GatherImage(tree.SlotOfData(), bits, lo, hi, out);
 }
 
 template <bool kForward>
@@ -497,7 +521,7 @@ bool AxisImageImpl(const Tree& tree, Axis axis, const Bitset& sources,
       DescendantImage(tree, sources, lo, hi, out);
       break;
     case Axis::kAncestor:
-      // The streamed sweep and sibling chains read sequential link columns
+      // The streamed sweep and the sibling closures read sequential columns
       // the way the dense parent image does, so they share its crossover.
       if (UseStreamed(sources, lo, hi, cal.parent_dense_crossover)) {
         AncestorImageSweep(tree, sources, lo, hi, out);
@@ -523,28 +547,28 @@ bool AxisImageImpl(const Tree& tree, Axis axis, const Bitset& sources,
       // gathered bit per node: the sparse side is the parent image's
       // chase, so its crossover gates.
       if (UseDense(sources, lo, hi, cal.parent_dense_crossover)) {
-        GatherImage(tree.PrevSiblingData(), sources, lo, hi, out);
+        GatherImage(tree.PrevSiblingData(), sources.words(), lo, hi, out);
         return true;
       }
       AdjacentSiblingImage<true>(tree, sources, lo, hi, out);
       break;
     case Axis::kPrevSibling:
       if (UseDense(sources, lo, hi, cal.parent_dense_crossover)) {
-        GatherImage(tree.NextSiblingData(), sources, lo, hi, out);
+        GatherImage(tree.NextSiblingData(), sources.words(), lo, hi, out);
         return true;
       }
       AdjacentSiblingImage<false>(tree, sources, lo, hi, out);
       break;
     case Axis::kFollowingSibling:
       if (UseStreamed(sources, lo, hi, cal.parent_dense_crossover)) {
-        SiblingChainStream<true>(tree, sources, lo, hi, out);
+        SiblingClosureDense<true>(tree, sources, lo, hi, out);
         return true;
       }
       TransitiveSiblingImage<true>(tree, sources, lo, hi, out);
       break;
     case Axis::kPrecedingSibling:
       if (UseStreamed(sources, lo, hi, cal.parent_dense_crossover)) {
-        SiblingChainStream<false>(tree, sources, lo, hi, out);
+        SiblingClosureDense<false>(tree, sources, lo, hi, out);
         return true;
       }
       TransitiveSiblingImage<false>(tree, sources, lo, hi, out);

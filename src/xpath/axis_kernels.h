@@ -33,10 +33,12 @@ namespace xptc {
 ///    ancestor is interval stabbing — one *backward* sweep tracking the
 ///    nearest later source against the `subtree_end_` column, a word of
 ///    output per register;
-///    following/preceding-sibling chains are one branch-free pass over the
-///    `prev_sibling_`/`next_sibling_` link columns propagating along
-///    chains. All are O(window/64 + |sources|) single passes, no
-///    O(depth)-round fixpoint anywhere.
+///    following/preceding-sibling closures run in child-slot space like
+///    the parent image: gather into slots, one carry-chain add per 64
+///    slots turns each run into a segmented prefix (fsib) or, on
+///    bit-reversed words from high to low, suffix (psib), then gather back
+///    to preorder through `Tree::SlotOfData`. All are O(window/64 +
+///    |sources|) single passes, no O(depth)-round fixpoint anywhere.
 ///
 /// The auto dispatch picks the streamed path when `est_popcount *
 /// dense_crossover >= window` (sampled estimate — a strided probe of at
@@ -59,7 +61,7 @@ namespace axis {
 /// force one path — how the bench measures the ctz baseline and how the
 /// unit tests cover both paths deterministically. `kInterval` forces the
 /// interval/streamed closure kernels (descendant range-union, ancestor
-/// backward sweep, sibling chain passes) while keeping child/parent on the
+/// backward sweep, sibling closures) while keeping child/parent on the
 /// sparse chase. The `XPTC_AXIS_MODE` environment variable
 /// (`auto` | `sparse` | `dense` | `interval`) picks the startup default.
 enum class Mode : int {
@@ -103,14 +105,14 @@ inline constexpr int kDensityProbeWords = 64;
 /// measures it once at admission and every evaluation on that tree
 /// consults it through the calibrated `AxisImageInto` overload. The two
 /// vertical axes get independent crossovers because their sparse chases
-/// cost very differently — the child chase walks every child of each
-/// source through `first_child_`/`next_sibling_`, the parent chase is one
-/// lookup per source — and the gap widens as the tree outgrows cache (a
-/// single shared ratio mispredicts whichever axis it was not measured
-/// on). The parent crossover also gates the adjacent-sibling gathers,
-/// whose sparse side is the same one-lookup-per-source chase, and the
-/// streamed closure sweeps (ancestor, sibling chains), whose cost model is
-/// the same sequential-column-scan-vs-chase trade. A default-constructed
+/// cost very differently — the child chase walks each source's child-slot
+/// run, the parent chase is one lookup per source — and the gap widens as
+/// the tree outgrows cache (a single shared ratio mispredicts whichever
+/// axis it was not measured on). The parent crossover also gates the
+/// adjacent-sibling gathers, whose sparse side is the same
+/// one-lookup-per-source chase, and the streamed closure passes (ancestor,
+/// sibling closures), whose cost model is the same
+/// sequential-column-scan-vs-chase trade. A default-constructed
 /// Calibration reproduces the fixed-constant policy.
 struct Calibration {
   int child_dense_crossover = kDenseCrossover;

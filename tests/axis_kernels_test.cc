@@ -50,8 +50,9 @@ void MarkNodeImage(const Tree& tree, Axis axis, NodeId v, NodeId lo,
       out->Set(v);
       break;
     case Axis::kChild:
-      for (NodeId c = tree.FirstChild(v); c != kNoNode;
-           c = tree.NextSibling(c)) {
+      // The children are the subtrees tiling (v, SubtreeEnd(v)), so the
+      // reference does not read the child-slot column the kernels use.
+      for (NodeId c = v + 1; c < tree.SubtreeEnd(v); c = tree.SubtreeEnd(c)) {
         out->Set(c);
       }
       break;
@@ -332,6 +333,118 @@ TEST(AxisKernelsTest, DenseImagesOnMidWordSlotWindows) {
     }
   }
   EXPECT_GE(windows_checked, 12);
+}
+
+// Builds `root(g(f...), g(f...), leaf)`: each group `g` holds fans with the
+// given child counts, and every 7th fan leaf gets one child of its own.
+// Fan runs of 1..257 slots land at varied offsets within slot words, so
+// runs cross word boundaries, and runs of 200+ slots carry across several
+// words; the one-child leaves make single-slot runs.
+Tree FanForest(const std::vector<std::vector<int>>& groups, Symbol a,
+               Symbol b) {
+  TreeBuilder builder;
+  builder.Begin(a);
+  int leaves = 0;
+  for (const std::vector<int>& fans : groups) {
+    builder.Begin(b);
+    for (int fan : fans) {
+      builder.Begin(a);
+      for (int i = 0; i < fan; ++i) {
+        builder.Begin(++leaves % 2 == 0 ? a : b);
+        if (leaves % 7 == 0) builder.Leaf(a);
+        builder.End();
+      }
+      builder.End();
+    }
+    builder.End();
+  }
+  builder.Leaf(b);
+  builder.End();
+  return std::move(builder).Finish().ValueOrDie();
+}
+
+// The sibling closures run in child-slot space: each window's slot range
+// is scanned as segmented runs with a carry that crosses slot words, then
+// gathered back to preorder. Compared against per-node sibling-chain walks
+// (MarkNodeImage) under every mode that reaches the slot-space kernel —
+// forced dense, interval, and auto — at every SIMD level, on windows whose
+// slot ranges start and end mid-word, with runs that cross words, single-
+// slot runs, and star runs of 200+ slots.
+TEST(AxisKernelsTest, SiblingClosuresOnMidWordSlotWindows) {
+  ModeGuard guard;
+  struct LevelGuard {
+    ~LevelGuard() { simd::ResetLevelForTesting(); }
+  } level_guard;
+  Alphabet alphabet;
+  Rng rng(20260811);
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 2);
+  std::vector<simd::Level> levels = {simd::Level::kGeneric};
+  for (simd::Level level : {simd::Level::kAvx2, simd::Level::kNeon}) {
+    if (simd::LevelAvailable(level)) levels.push_back(level);
+  }
+  std::vector<Tree> trees;
+  trees.push_back(FanForest({{1, 1, 3, 200, 1, 65, 64, 2, 257, 1, 9},
+                             {130, 1, 1, 1, 70, 5, 63},
+                             {31, 33, 210}},
+                            labels[0], labels[1]));
+  for (TreeShape shape : {TreeShape::kStar, TreeShape::kUniformRecursive,
+                          TreeShape::kCaterpillar}) {
+    TreeGenOptions options;
+    options.num_nodes = 3000;
+    options.shape = shape;
+    trees.push_back(GenerateTree(options, labels, &rng));
+  }
+  int mid_word_windows = 0;
+  int single_slot_runs = 0;
+  int cross_word_runs = 0;
+  int long_runs = 0;
+  for (const Tree& tree : trees) {
+    // The full tree, plus windows whose slot range starts and ends
+    // mid-word; each run in a checked window is tallied once.
+    std::vector<NodeId> roots = {0};
+    for (NodeId v = 1; v < tree.size() && roots.size() < 12; ++v) {
+      const int s0 = tree.SlotBegin(v);
+      const int s1 = tree.SlotBegin(tree.SubtreeEnd(v));
+      if (s1 - s0 >= 2 && s0 % 64 != 0 && s1 % 64 != 0) roots.push_back(v);
+    }
+    mid_word_windows += static_cast<int>(roots.size()) - 1;
+    for (NodeId p = 0; p < tree.size(); ++p) {
+      const int begin = tree.SlotBegin(p);
+      const int end = tree.SlotBegin(p + 1);
+      single_slot_runs += end - begin == 1;
+      cross_word_runs += end > begin && begin / 64 != (end - 1) / 64;
+      long_runs += end - begin >= 200;
+    }
+    for (NodeId lo : roots) {
+      const NodeId hi = tree.SubtreeEnd(lo);
+      for (double density : {0.02, 0.3, 0.9, 1.0}) {
+        const Bitset sources = RandomSources(tree, lo, hi, density, &rng);
+        for (Axis axis : {Axis::kFollowingSibling, Axis::kPrecedingSibling}) {
+          const Bitset expected = ReferenceImage(tree, axis, sources, lo, hi);
+          for (simd::Level level : levels) {
+            simd::SetLevelForTesting(level);
+            for (axis::Mode mode : {axis::Mode::kDense, axis::Mode::kAuto,
+                                    axis::Mode::kInterval}) {
+              axis::SetModeForTesting(mode);
+              Bitset got(tree.size());
+              AxisImageInto(tree, axis, sources, lo, hi, &got);
+              ASSERT_EQ(got, expected)
+                  << AxisToString(axis) << " level="
+                  << simd::LevelName(level)
+                  << " mode=" << static_cast<int>(mode) << " window=[" << lo
+                  << "," << hi << ") slots=[" << tree.SlotBegin(lo) << ","
+                  << tree.SlotBegin(hi) << ") density=" << density
+                  << " n=" << tree.size();
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(mid_word_windows, 20);
+  EXPECT_GT(single_slot_runs, 0);
+  EXPECT_GT(cross_word_runs, 0);
+  EXPECT_GE(long_runs, 3);
 }
 
 // The auto crossover must pick the dense path for saturated windows and

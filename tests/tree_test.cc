@@ -145,33 +145,51 @@ bool WordBit(const uint64_t* words, int i) {
 }
 
 // The child-slot columns and the accessors derived from them, checked
-// against the sibling links: every parent's slots hold exactly its
-// children in sibling order, the last-slot and has-child bits mark the
-// runs, the padding past the last slot reads kNoNode, and ChildCount,
-// LastChild and SubtreeSize equal a ForEachChild/SubtreeEnd walk.
+// against the parent and sibling links: every parent's slots hold exactly
+// its children in sibling order, the slot-of column inverts the slot
+// column (the root maps to -1), the last-slot and has-child bits mark the
+// runs, the padding past the last slot reads kNoNode, and FirstChild,
+// IsLeaf, ChildCount, LastChild, ForEachChild, ChildrenOf and SubtreeSize
+// equal a sibling-link/SubtreeEnd walk.
 void ExpectChildSlotsMatchLinks(const Tree& tree) {
   const int n = tree.size();
   const int slots = n - 1;
   ASSERT_EQ(tree.SlotBegin(0), 0);
   ASSERT_EQ(tree.SlotBegin(n), slots);
   const NodeId* slot_child = tree.SlotChildData();
+  const int* slot_of = tree.SlotOfData();
+  EXPECT_EQ(slot_of[0], -1);
+  // First children from the links alone: the non-root nodes without a
+  // previous sibling.
+  std::vector<NodeId> first_child(static_cast<size_t>(n), kNoNode);
+  for (NodeId c = 1; c < n; ++c) {
+    if (tree.PrevSibling(c) == kNoNode) first_child[tree.Parent(c)] = c;
+  }
   for (NodeId v = 0; v < n; ++v) {
     std::vector<NodeId> children;
     int size = 1;
-    tree.ForEachChild(v, [&](NodeId c) {
+    for (NodeId c = first_child[v]; c != kNoNode; c = tree.NextSibling(c)) {
+      ASSERT_EQ(tree.Parent(c), v);
       children.push_back(c);
       size += tree.SubtreeEnd(c) - c;
-    });
+    }
     const int begin = tree.SlotBegin(v);
     const int end = tree.SlotBegin(v + 1);
     ASSERT_EQ(std::vector<NodeId>(slot_child + begin, slot_child + end),
               children)
         << "node " << v;
+    std::vector<NodeId> visited;
+    tree.ForEachChild(v, [&](NodeId c) { visited.push_back(c); });
+    EXPECT_EQ(visited, children) << "node " << v;
+    EXPECT_EQ(tree.ChildrenOf(v), children) << "node " << v;
+    EXPECT_EQ(tree.FirstChild(v), first_child[v]) << "node " << v;
+    EXPECT_EQ(tree.IsLeaf(v), children.empty()) << "node " << v;
     EXPECT_EQ(tree.ChildCount(v), static_cast<int>(children.size()));
     EXPECT_EQ(tree.LastChild(v), children.empty() ? kNoNode : children.back());
     EXPECT_EQ(tree.SubtreeSize(v), size) << "node " << v;
     EXPECT_EQ(WordBit(tree.HasChildWords(), v), !children.empty());
     for (int s = begin; s < end; ++s) {
+      EXPECT_EQ(slot_of[slot_child[s]], s) << "node " << v << " slot " << s;
       EXPECT_EQ(WordBit(tree.LastSlotWords(), s), s == end - 1)
           << "node " << v << " slot " << s;
     }
