@@ -27,6 +27,10 @@
 //     never-entered body); the re-cached program must be bit-for-bit
 //     equivalent.
 //
+// Alongside claim 1, the streamed ancestor sweep is timed at every
+// available SIMD level on a 1M uniform and a 256k caterpillar tree
+// (reported per node and checked against the generic level, not gated).
+//
 // Every sparse/dense/auto result pair is compared bit for bit; any
 // mismatch dumps a replayable .case file (e2e cases) and exits 1, as
 // does a violated `axis_streaming_not_slower` gate (auto dispatch must
@@ -40,6 +44,9 @@
 //                   "match": bool}, ...]},
 //    "axis_dense_2x": bool,
 //    "auto_within_1p15_of_best": bool,
+//    "ancestor_sweep": [{"shape": str, "n": int, "density": f,
+//                        "level": str, "ns_per_node": f,
+//                        "match": bool}, ...],
 //    "e2e": {"n": int, "cases": [{"name": str, "query": str,
 //            "sparse_us": f, "auto_us": f, "speedup": f,
 //            "match": bool}, ...]},
@@ -204,6 +211,77 @@ std::vector<AxisRow> MicrobenchReport(bool* axis_dense_2x, bool* all_match) {
 }
 
 // ---------------------------------------------------------------------------
+// Part 1b: the streamed ancestor sweep at each SIMD level. Its whole words
+// go through the `stab_words` dispatch kernel, whose AVX2 body tests 4
+// nodes per vector where the generic body carries the nearest later source
+// through every node. Reported per node, checked against the generic
+// level; not gated.
+
+struct StabRow {
+  std::string shape;
+  int n = 0;
+  double density = 0;
+  std::string level;
+  double ns_per_node = 0;
+  bool match = false;
+};
+
+std::vector<StabRow> AncestorSweepReport(bool* all_match) {
+  std::printf("\nStreamed ancestor sweep per SIMD level (full window):\n");
+  bench::PrintRow({"shape", "n", "density", "level", "ns/node", "match"});
+  const bool smoke = bench::SmokeMode();
+  const struct {
+    TreeShape shape;
+    int n;
+  } trees[] = {{TreeShape::kUniformRecursive, smoke ? 65536 : 1 << 20},
+               {TreeShape::kCaterpillar, smoke ? 16384 : 1 << 18}};
+  std::vector<StabRow> rows;
+  for (const auto& spec : trees) {
+    Alphabet alphabet;
+    const Tree tree = bench::BenchTree(&alphabet, spec.n, spec.shape, 17);
+    for (double density : {1.0 / 3, 0.1}) {
+      Rng rng(23);
+      const Bitset sources = RandomSources(spec.n, density, &rng);
+      Bitset reference(spec.n);
+      for (simd::Level level :
+           {simd::Level::kGeneric, simd::Level::kAvx2, simd::Level::kNeon}) {
+        if (!simd::LevelAvailable(level)) continue;
+        simd::SetLevelForTesting(level);
+        Bitset out(spec.n);
+        StabRow row;
+        row.shape = TreeShapeToString(spec.shape);
+        row.n = spec.n;
+        row.density = density;
+        row.level = simd::LevelName(level);
+        row.ns_per_node = ImageNs(tree, Axis::kAncestor, sources,
+                                  axis::Mode::kInterval, &out, 30, {}) /
+                          spec.n;
+        if (level == simd::Level::kGeneric) reference = out;
+        row.match = out == reference;
+        bench::PrintRow({row.shape, std::to_string(row.n),
+                         bench::Fmt(density, 2), row.level,
+                         bench::Fmt(row.ns_per_node, 3),
+                         row.match ? "yes" : "MISMATCH"});
+        if (!row.match) {
+          *all_match = false;
+          std::fprintf(stderr,
+                       "FATAL: ancestor sweep at level %s disagrees with "
+                       "generic (%s n=%d density=%.2f)\n",
+                       row.level.c_str(), row.shape.c_str(), row.n,
+                       density);
+        }
+        rows.push_back(std::move(row));
+      }
+      simd::ResetLevelForTesting();
+    }
+  }
+  std::printf("Expected shape: the AVX2 lane test runs at under half the "
+              "generic level's ns/node, which is latency-bound on its "
+              "per-node carried state.\n");
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // Part 2: end to end — child/parent-heavy compiled workloads under the
 // auto dispatch vs forced-sparse.
 
@@ -321,6 +399,7 @@ ReoptReport ProfileReoptReport(int n) {
 
 std::string SectionJson(const std::vector<AxisRow>& rows, bool axis_dense_2x,
                         bool auto_within_best,
+                        const std::vector<StabRow>& stab_rows,
                         const std::vector<E2eCase>& e2e, int e2e_n,
                         bool not_slower, const ReoptReport& reopt) {
   std::ostringstream os;
@@ -341,8 +420,17 @@ std::string SectionJson(const std::vector<AxisRow>& rows, bool axis_dense_2x,
   }
   os << "]}, \"axis_dense_2x\": " << (axis_dense_2x ? "true" : "false")
      << ", \"auto_within_1p15_of_best\": "
-     << (auto_within_best ? "true" : "false")
-     << ", \"e2e\": {\"n\": " << e2e_n << ", \"cases\": [";
+     << (auto_within_best ? "true" : "false") << ", \"ancestor_sweep\": [";
+  for (size_t i = 0; i < stab_rows.size(); ++i) {
+    const StabRow& row = stab_rows[i];
+    if (i > 0) os << ", ";
+    os << "{\"shape\": \"" << row.shape << "\", \"n\": " << row.n
+       << ", \"density\": " << bench::Fmt(row.density, 2)
+       << ", \"level\": \"" << row.level
+       << "\", \"ns_per_node\": " << bench::Fmt(row.ns_per_node, 3)
+       << ", \"match\": " << (row.match ? "true" : "false") << "}";
+  }
+  os << "], \"e2e\": {\"n\": " << e2e_n << ", \"cases\": [";
   for (size_t i = 0; i < e2e.size(); ++i) {
     const E2eCase& ec = e2e[i];
     if (i > 0) os << ", ";
@@ -402,6 +490,7 @@ int main(int argc, char** argv) {
   bool axis_dense_2x = false;
   bool all_match = true;
   const auto rows = xptc::MicrobenchReport(&axis_dense_2x, &all_match);
+  const auto stab_rows = xptc::AncestorSweepReport(&all_match);
   const int e2e_n = xptc::bench::SmokeMode() ? 4000 : 100000;
   const auto e2e = xptc::E2eReport(e2e_n, &all_match);
   const auto reopt =
@@ -453,8 +542,8 @@ int main(int argc, char** argv) {
   }
   xptc::bench::UpdateBenchJson(
       xptc::bench::AxisJsonPath(), "exp14_axis_streaming",
-      xptc::SectionJson(rows, axis_dense_2x, auto_within_best, e2e, e2e_n,
-                        not_slower, reopt));
+      xptc::SectionJson(rows, axis_dense_2x, auto_within_best, stab_rows,
+                        e2e, e2e_n, not_slower, reopt));
   xptc::bench::UpdateBenchJson(xptc::bench::AxisJsonPath(), "obs_registry",
                                xptc::obs::Registry::Default().Json());
   std::printf("(recorded in %s)\n", xptc::bench::AxisJsonPath().c_str());

@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -181,13 +182,36 @@ void CompactBitsGeneric(uint64_t* dst, const uint64_t* dst_mask, size_t dlo,
   }
 }
 
+int32_t StabWordsGeneric(uint64_t* dst, const uint64_t* src,
+                         const int32_t* end, int32_t base, size_t n,
+                         int32_t nab) {
+  // Backward, carrying the nearest later source: node v is tested against
+  // it before v's own bit can become it, so a source never stabs itself.
+  // Each node's source bit is shifted into the sign position of a
+  // register copy of the word, and the output word is assembled in a
+  // register and OR-ed once.
+  for (size_t w = n; w-- > 0;) {
+    const int32_t* e = end + w * 64;
+    const int32_t wbase = base + static_cast<int32_t>(w * 64);
+    uint64_t probe = src[w];
+    uint64_t acc = 0;
+    for (int b = 63; b >= 0; --b) {
+      acc = (acc << 1) | static_cast<uint64_t>(nab < e[b]);
+      nab = static_cast<int64_t>(probe) < 0 ? wbase + b : nab;
+      probe <<= 1;
+    }
+    dst[w] |= acc;
+  }
+  return nab;
+}
+
 constexpr Kernels kGenericKernels = {
     Level::kGeneric,        OrWordsGeneric,       AndWordsGeneric,
     AndNotWordsGeneric,     XorWordsGeneric,      CopyWordsGeneric,
     NotWordsGeneric,        AssignAndNotWordsGeneric,
     AssignOrNotWordsGeneric, PopcountWordsGeneric, AnyWordsGeneric,
     SubsetWordsGeneric,     GatherWordsGeneric,   CompactBitsGeneric,
-    FillRangeGeneric,       OrRangeGeneric,
+    StabWordsGeneric,       FillRangeGeneric,     OrRangeGeneric,
 };
 
 // ---------------------------------------------------------------------------
@@ -404,6 +428,53 @@ XPTC_AVX2 void CompactBitsAvx2(uint64_t* dst, const uint64_t* dst_mask,
   }
 }
 
+// kAbove[b]: the bits of a word strictly above bit b.
+constexpr std::array<uint64_t, 64> MakeAbove() {
+  std::array<uint64_t, 64> above{};
+  for (int b = 0; b < 63; ++b) above[b] = ~uint64_t{0} << (b + 1);
+  return above;
+}
+alignas(32) constexpr std::array<uint64_t, 64> kAbove = MakeAbove();
+
+XPTC_AVX2 int32_t StabWordsAvx2(uint64_t* dst, const uint64_t* src,
+                                const int32_t* end, int32_t base, size_t n,
+                                int32_t nab) {
+  // 4 nodes per vector, no state carried between them: lane b of a word
+  // is out of the image iff (src & kAbove[b] & lowmask(end - wbase)) == 0
+  // and end <= nab. vpsllvq gives 0 for shift counts >= 64, so
+  // ~(ones << k) is lowmask(k) for every k >= 1. Only nab crosses words.
+  const __m256i ones = _mm256_set1_epi64x(-1);
+  const __m256i zero = _mm256_setzero_si256();
+  for (size_t w = n; w-- > 0;) {
+    const int32_t* e = end + w * 64;
+    const int64_t wbase = base + static_cast<int64_t>(w * 64);
+    const __m256i vbase = _mm256_set1_epi64x(wbase);
+    const __m256i vnab = _mm256_set1_epi64x(nab);
+    const __m256i vsrc = _mm256_set1_epi64x(static_cast<int64_t>(src[w]));
+    uint64_t outside = 0;
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      const __m256i ve = _mm256_cvtepi32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(e + 4 * g)));
+      const __m256i above = _mm256_and_si256(
+          vsrc, _mm256_load_si256(
+                    reinterpret_cast<const __m256i*>(&kAbove[4 * g])));
+      const __m256i below_end = _mm256_andnot_si256(
+          _mm256_sllv_epi64(ones, _mm256_sub_epi64(ve, vbase)), above);
+      const __m256i none = _mm256_andnot_si256(
+          _mm256_cmpgt_epi64(ve, vnab), _mm256_cmpeq_epi64(below_end, zero));
+      outside |= static_cast<uint64_t>(
+                     _mm256_movemask_pd(_mm256_castsi256_pd(none)))
+                 << (4 * g);
+    }
+    dst[w] |= ~outside;
+    if (src[w] != 0) {
+      nab = static_cast<int32_t>(wbase) + __builtin_ctzll(src[w]);
+    }
+  }
+  return nab;
+}
+
 XPTC_AVX2 void FillRangeAvx2(uint64_t* words, size_t lo, size_t hi) {
   if (lo >= hi) return;
   const size_t wlo = lo >> 6;
@@ -453,7 +524,7 @@ constexpr Kernels kAvx2Kernels = {
     NotWordsAvx2,         AssignAndNotWordsAvx2,
     AssignOrNotWordsAvx2, PopcountWordsAvx2,  AnyWordsAvx2,
     SubsetWordsAvx2,      GatherWordsAvx2,    CompactBitsAvx2,
-    FillRangeAvx2,        OrRangeAvx2,
+    StabWordsAvx2,        FillRangeAvx2,      OrRangeAvx2,
 };
 
 bool CpuHasAvx2() {
@@ -588,7 +659,8 @@ constexpr Kernels kNeonKernels = {
     NotWordsNeon,         AssignAndNotWordsNeon,
     AssignOrNotWordsNeon, PopcountWordsGeneric, AnyWordsNeon,
     SubsetWordsNeon,      GatherWordsGeneric,  // NEON has no gather
-    CompactBitsGeneric,   FillRangeNeon,       OrRangeNeon,
+    CompactBitsGeneric,   StabWordsGeneric,    // the lane test is AVX2-only
+    FillRangeNeon,        OrRangeNeon,
 };
 
 #endif  // XPTC_SIMD_NEON

@@ -92,6 +92,21 @@ struct Kernels {
   void (*compact_bits)(uint64_t* dst, const uint64_t* dst_mask, size_t dlo,
                        size_t dhi, const uint64_t* src,
                        const uint64_t* src_mask, size_t slo, size_t shi);
+  // Ancestor interval stabbing over n whole words of nodes from node
+  // `base` (a multiple of 64): node v = base + 64*w + b gets bit b of
+  // dst[w] OR-ed with "some source s has v < s < end[64*w + b]". `src`
+  // holds the sources of the same words, `end` the nodes' subtree ends
+  // (each > v). `nab` is the first source at or after node base + 64*n,
+  // or any value >= every end when there is none; the return value is the
+  // first source at or after `base` (`nab` when the span holds none), so
+  // spans chain from high to low. Per word, v is in the image iff a source
+  // bit above b lies below end - base, or nab < end: every lane is
+  // independent and only `nab` is carried, one ctz per word. AVX2 tests 4
+  // nodes per vector; the generic body (NEON aliases it) runs the backward
+  // loop that carries the nearest later source through every node, which
+  // beats the branch-free scalar form of the lane test twofold.
+  int32_t (*stab_words)(uint64_t* dst, const uint64_t* src, const int32_t* end,
+                        int32_t base, size_t n, int32_t nab);
 
   // Ranged kernels over *bit* positions: unlike the word kernels above,
   // these take a [lo, hi) bit range and handle the masked head/tail words

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/simd.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
 #include "workload/tree_cache.h"
@@ -259,6 +260,10 @@ bool ExecEngine::RunRange(const Program& program, int begin, int end) {
     switch (ins.op) {
       case Op::kTrue:
         dst.SetAll();
+        break;
+      case Op::kHasChild:
+        simd::Active().copy_words(dst.mutable_words(), tree_.HasChildWords(),
+                                  dst.word_count());
         break;
       case Op::kLabel:
         dst.CopyRange(LabelSet(ins.label), 0, n_);

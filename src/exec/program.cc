@@ -104,6 +104,12 @@ class Lowerer {
     seqs_[static_cast<size_t>(seq)].instrs.push_back(std::move(ins));
   }
 
+  // Stands for the all-nodes set as a path's targets, so the kSome
+  // lowering can fold what it knows about that set before a register is
+  // needed: a filter over all nodes is its predicate, and the back image
+  // of `child` over all nodes is the tree's has-child column.
+  static constexpr int kAllNodes = -2;
+
   // The all-nodes register (lazily emitted once, in the main sequence).
   int TrueReg() {
     if (true_vreg_ < 0) {
@@ -114,6 +120,10 @@ class Lowerer {
       true_vreg_ = ins.dst;
     }
     return true_vreg_;
+  }
+
+  int Materialize(int targets) {
+    return targets == kAllNodes ? TrueReg() : targets;
   }
 
   // Register holding the node set of `node`. Node-expression values are
@@ -159,7 +169,7 @@ class Lowerer {
         break;
       }
       case NodeOp::kSome:
-        reg = LowerPathBack(node->path, TrueReg(), 0);
+        reg = LowerPathBack(node->path, kAllNodes, 0);
         break;
       case NodeOp::kWithin: {
         // Delegated to the shared-context interpreter engine: W results
@@ -182,6 +192,7 @@ class Lowerer {
   // emitted into sequence `seq`. ⟨p⟩φ = back(p, φ), which is why kAxis
   // stores the *inverse* axis.
   int LowerPathBack(const PathPtr& path, int targets, int seq) {
+    if (targets == true_vreg_) targets = kAllNodes;  // e.g. `<child[true]>`
     const auto key = std::make_pair(path.get(), targets);
     {
       const auto& memo = seqs_[static_cast<size_t>(seq)].path_memo;
@@ -195,9 +206,13 @@ class Lowerer {
     switch (path->op) {
       case PathOp::kAxis: {
         Instr ins;
-        ins.op = Op::kAxis;
-        ins.axis = InverseAxis(path->axis);
-        ins.a = targets;
+        if (targets == kAllNodes && path->axis == Axis::kChild) {
+          ins.op = Op::kHasChild;  // ⟨child⟩⊤ is a column the tree stores
+        } else {
+          ins.op = Op::kAxis;
+          ins.axis = InverseAxis(path->axis);
+          ins.a = Materialize(targets);
+        }
         ins.dst = NewVreg();
         Append(seq, ins);
         reg = ins.dst;
@@ -219,6 +234,11 @@ class Lowerer {
         break;
       }
       case PathOp::kFilter: {
+        if (targets == kAllNodes) {
+          // All nodes ∩ φ = φ: the predicate's register is the targets.
+          reg = LowerPathBack(path->left, LowerNode(path->pred), seq);
+          break;
+        }
         Instr ins;
         ins.op = Op::kAnd;
         ins.a = targets;
@@ -242,7 +262,7 @@ class Lowerer {
           Instr ins;
           ins.op = ClosureOpFor(closure);
           ins.axis = closure;
-          ins.a = targets;
+          ins.a = Materialize(targets);
           ins.dst = NewVreg();
           Append(seq, ins);
           reg = ins.dst;
@@ -253,7 +273,7 @@ class Lowerer {
         const int body = NewSeq();
         Instr ins;
         ins.op = Op::kStar;
-        ins.a = targets;
+        ins.a = Materialize(targets);
         ins.in = NewVreg();
         ins.out = LowerPathBack(path->left, ins.in, body);
         ins.dst = NewVreg();
@@ -462,6 +482,9 @@ std::string Program::InstrToString(int i, const Alphabet& alphabet) const {
   switch (ins.op) {
     case Op::kTrue:
       os << "true";
+      break;
+    case Op::kHasChild:
+      os << "haschild";
       break;
     case Op::kLabel:
       os << "label " << alphabet.Name(ins.label);

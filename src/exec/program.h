@@ -19,6 +19,8 @@ namespace exec {
 /// context-independent and memoized per tree).
 enum class Op : uint8_t {
   kTrue,    // dst := all nodes
+  kHasChild,  // dst := {v : v has a child} = ⟨child⟩⊤, copied from the
+              //        tree's has-child column instead of a parent image
   kLabel,   // dst := {v : label(v) == label}
   kNot,     // dst := complement(a)
   kAnd,     // dst := a ∩ b

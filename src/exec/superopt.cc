@@ -56,6 +56,7 @@ Op ClosureOp(Axis closure) {
 double OpWeight(Op op) {
   switch (op) {
     case Op::kTrue:
+    case Op::kHasChild:
     case Op::kLabel:
       return 1.0;  // one full-bitset write
     case Op::kNot:
@@ -250,6 +251,7 @@ class Superoptimizer {
       const Instr& ins = si.ins;
       switch (ins.op) {
         case Op::kTrue:
+        case Op::kHasChild:
           break;
         case Op::kLabel:
           if (ins.label == kInvalidSymbol) return false;
@@ -315,6 +317,7 @@ class Superoptimizer {
   static bool SameOperands(const Instr& x, const Instr& y) {
     switch (x.op) {
       case Op::kTrue:
+      case Op::kHasChild:
         return true;
       case Op::kLabel:
         return x.label == y.label;
@@ -763,6 +766,7 @@ bool VerifyWalk(const Program& program, int begin, int end,
     bool need_a = false, need_b = false;
     switch (ins.op) {
       case Op::kTrue:
+      case Op::kHasChild:
         break;
       case Op::kLabel:
         if (ins.label == kInvalidSymbol) {

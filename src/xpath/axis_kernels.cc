@@ -334,30 +334,40 @@ void AncestorImageSweep(const Tree& tree, const Bitset& sources, NodeId lo,
   // Interval stabbing, streamed: v is a strict ancestor of some source iff
   // the *nearest* source strictly after v (in preorder) still falls inside
   // v's subtree interval — sources past SubtreeEnd(v) are past every
-  // earlier source too. One backward pass a word at a time: `nearest`
-  // rides a register (one cmov per node), the source word is read by
-  // shifting each node's bit into the sign position, and the output word
-  // is assembled in a register and stored once — no per-node
-  // read-modify-write of the output, no variable shifts. O(window) column
-  // reads total versus the O(sources × depth) parent chase.
+  // earlier source too. One backward pass: the whole words of the window
+  // go through the dispatched `stab_words` kernel, which tests each node
+  // against the source bits above it in its word and against `nearest`,
+  // the first source past the word, and carries only `nearest` between
+  // words. The masked head and tail words run the same backward pass
+  // scalar, carrying `nearest` through each node. O(window) column reads
+  // total versus the O(sources × depth) parent chase.
   const NodeId* subtree_end = tree.SubtreeEndData();
   const uint64_t* src = sources.words();
   uint64_t* dst = out->mutable_words();
   NodeId nearest = hi;  // sentinel: no later source (subtree_end <= hi)
-  for (NodeId w = (hi - 1) >> 6; w >= (lo >> 6); --w) {
-    const NodeId base = w << 6;
-    const int b_lo = std::max(lo, base) - base;
-    const int b_hi = std::min(hi, base + 64) - base;
-    const NodeId* end = subtree_end + base;
-    uint64_t probe = src[w] << (64 - b_hi);  // bit b_hi - 1 on top
+  // Nodes [from, to) of one word, from the top down.
+  const auto partial_word = [&](NodeId from, NodeId to) {
+    if (from >= to) return;
+    const NodeId base = from & ~63;
+    uint64_t probe = src[base >> 6] << (64 - (to - base));  // to - 1 on top
     uint64_t acc = 0;
-    for (int b = b_hi - 1; b >= b_lo; --b) {
-      acc = (acc << 1) | static_cast<uint64_t>(nearest < end[b]);
-      nearest = static_cast<int64_t>(probe) < 0 ? base + b : nearest;
+    for (NodeId v = to - 1; v >= from; --v) {
+      acc = (acc << 1) | static_cast<uint64_t>(nearest < subtree_end[v]);
+      nearest = static_cast<int64_t>(probe) < 0 ? v : nearest;
       probe <<= 1;
     }
-    dst[w] |= acc << b_lo;
+    dst[base >> 6] |= acc << (from - base);
+  };
+  const NodeId head_end = std::min(hi, (lo + 63) & ~63);
+  const NodeId tail_begin = std::max(head_end, hi & ~63);
+  partial_word(tail_begin, hi);
+  if (head_end < tail_begin) {
+    nearest = simd::Active().stab_words(
+        dst + (head_end >> 6), src + (head_end >> 6),
+        reinterpret_cast<const int32_t*>(subtree_end + head_end), head_end,
+        static_cast<size_t>(tail_begin - head_end) >> 6, nearest);
   }
+  partial_word(lo, head_end);
 }
 
 void DescendantImage(const Tree& tree, const Bitset& sources, NodeId lo,

@@ -30,9 +30,13 @@ namespace xptc {
 ///  - interval/streamed path (the closure axes, DESIGN.md §15):
 ///    descendant is a union of `fill_range` writes over preorder subtree
 ///    intervals [v+1, SubtreeEnd(v)) with covered intervals skipped;
-///    ancestor is interval stabbing — one *backward* sweep tracking the
-///    nearest later source against the `subtree_end_` column, a word of
-///    output per register;
+///    ancestor is interval stabbing — one *backward* sweep testing each
+///    node's `subtree_end_` against the sources after it: whole words go
+///    through the `stab_words` dispatch kernel (AVX2: 4 independent
+///    lanes per vector, testing the source bits above each node in its
+///    word and the first source past the word, carried once per word),
+///    masked head/tail words through the scalar loop that carries the
+///    nearest later source per node;
 ///    following/preceding-sibling closures run in child-slot space like
 ///    the parent image: gather into slots, one carry-chain add per 64
 ///    slots turns each run into a segmented prefix (fsib) or, on

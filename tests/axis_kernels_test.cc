@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/alphabet.h"
@@ -269,7 +270,10 @@ TEST(AxisKernelsTest, CalibratedCrossoverStaysExact) {
 // kDenseMinWindow, must match the reference under forced-dense and auto
 // dispatch at every SIMD level (the gather and the compaction have scalar
 // and vector forms), for the parent image and the other gather-form
-// images.
+// images. The ancestor sweep splits a window into masked head and tail
+// words and a whole-word run for the dispatched stab kernel, so windows
+// whose node ends both fall mid-word with whole words between them are
+// added and counted.
 TEST(AxisKernelsTest, DenseImagesOnMidWordSlotWindows) {
   ModeGuard guard;
   struct LevelGuard {
@@ -286,6 +290,7 @@ TEST(AxisKernelsTest, DenseImagesOnMidWordSlotWindows) {
                        Axis::kNextSibling, Axis::kPrevSibling,
                        Axis::kAncestor,    Axis::kAncestorOrSelf};
   int windows_checked = 0;
+  int stab_windows = 0;  // node ends mid-word, whole words between them
   for (TreeShape shape :
        {TreeShape::kUniformRecursive, TreeShape::kCaterpillar,
         TreeShape::kFullBinary}) {
@@ -307,8 +312,20 @@ TEST(AxisKernelsTest, DenseImagesOnMidWordSlotWindows) {
       roots.push_back(v);
     }
     ASSERT_GT(large, 0) << "shape " << static_cast<int>(shape);
+    const auto whole_words_between = [](NodeId lo, NodeId hi) {
+      return lo % 64 != 0 && hi % 64 != 0 &&
+             ((lo + 63) & ~63) < (hi & ~63);
+    };
+    for (NodeId v = 1, added = 0; v < tree.size() && added < 4; ++v) {
+      if (whole_words_between(v, tree.SubtreeEnd(v)) &&
+          std::find(roots.begin(), roots.end(), v) == roots.end()) {
+        roots.push_back(v);
+        ++added;
+      }
+    }
     for (NodeId lo : roots) {
       const NodeId hi = tree.SubtreeEnd(lo);
+      stab_windows += whole_words_between(lo, hi);
       for (double density : {0.05, 0.5, 1.0}) {
         const Bitset sources = RandomSources(tree, lo, hi, density, &rng);
         for (Axis axis : axes) {
@@ -333,6 +350,7 @@ TEST(AxisKernelsTest, DenseImagesOnMidWordSlotWindows) {
     }
   }
   EXPECT_GE(windows_checked, 12);
+  EXPECT_GE(stab_windows, 9);
 }
 
 // Builds `root(g(f...), g(f...), leaf)`: each group `g` holds fans with the

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/program.h"
+#include "exec/superopt.h"
 #include "test_util.h"
 #include "tree/generate.h"
 #include "workload/batch.h"
@@ -112,7 +113,79 @@ TEST(ExecProgramTest, DownwardProgramAttachedExactlyOnDownwardPlans) {
   EXPECT_FALSE(upward->stats().downward);
 }
 
+TEST(ExecProgramTest, AllNodesTargetsFoldAway) {
+  // ⟨p⟩⊤ starts from the all-nodes set: `leaf` and a bare `<child>` read
+  // the tree's has-child column instead of a parent image over a `true`
+  // register, and a filter over all nodes is its predicate, not an `and`.
+  Alphabet alphabet;
+  const auto code = [&alphabet](const char* text) {
+    const std::string listing =
+        Program::Compile(N(text, &alphabet))->ToString(alphabet);
+    return listing.substr(0, listing.find("downward program"));
+  };
+  for (const char* text : {"leaf", "<child>", "not <child>"}) {
+    const std::string listing = code(text);
+    EXPECT_NE(listing.find("haschild"), std::string::npos) << listing;
+    EXPECT_EQ(listing.find("axis parent"), std::string::npos) << listing;
+    EXPECT_EQ(listing.find("= true"), std::string::npos) << listing;
+  }
+  const std::string filtered = code("<child[a]> or <desc[leaf]>");
+  EXPECT_EQ(filtered.find("= and"), std::string::npos) << filtered;
+  EXPECT_EQ(filtered.find("= true"), std::string::npos) << filtered;
+  // Inside a star body the targets are the frontier, so the filter stays;
+  // its `leaf` predicate is hoisted to main and still folds.
+  const std::string star = code("<(child[leaf])*[a]>");
+  EXPECT_NE(star.find("haschild"), std::string::npos) << star;
+  EXPECT_NE(star.find("= and"), std::string::npos) << star;
+  // A star seeded with all nodes still gets its `true` register.
+  const std::string seeded = code("<(child[<child>])*>");
+  EXPECT_NE(seeded.find("= true"), std::string::npos) << seeded;
+}
+
 // ------------------------------------------------------------------ engine
+
+TEST(ExecEngineTest, AllNodesFoldsMatchInterpreterOnEveryShape) {
+  // The has-child column and the filter fold, outside and inside star
+  // bodies, on every generated shape down to the one-node tree, through
+  // the register machine both as lowered and as superoptimized.
+  Alphabet alphabet;
+  const std::vector<Tree> trees = CorpusTrees(&alphabet, 3, 300, 83);
+  const char* texts[] = {
+      "leaf",
+      "<child>",
+      "not <child>",
+      "<child> and a",
+      "<child[a]>",
+      "<desc[c and leaf]>",
+      "<child/child[b]> or <desc[c and leaf]>",
+      "<desc[a and not <child[c]>]>",
+      "<parent[<child>]>",
+      "<(child)*>",
+      "<(child[leaf])*[a]>",
+      "<(child[<child>])*[leaf]>",
+      "<(child[not <child>])*>",
+      "<(child/child)*[c and leaf]>",
+      "<(child[not c]/child[not c])*[leaf]>",
+      "<(fsib/child)*[a and leaf]>",
+      "<(parent[<child>])*[b and leaf]>",
+  };
+  for (const char* text : texts) {
+    NodePtr query = N(text, &alphabet);
+    auto program = Program::Compile(query);
+    auto optimized = exec::Superoptimize(program);
+    std::string error;
+    ASSERT_TRUE(exec::VerifyProgram(*optimized, &error)) << text << ": "
+                                                         << error;
+    for (const Tree& tree : trees) {
+      ExecEngine engine(tree);
+      const Bitset reference = Interpret(tree, query);
+      ASSERT_EQ(engine.EvalGeneral(*program), reference)
+          << text << " n=" << tree.size();
+      ASSERT_EQ(engine.Eval(*optimized), reference)
+          << text << " (superoptimized) n=" << tree.size();
+    }
+  }
+}
 
 TEST(ExecEngineTest, RegisterFileIsReusedAcrossProgramsAndRuns) {
   // One engine, several programs, repeated runs: results must match fresh

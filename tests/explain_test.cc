@@ -30,11 +30,9 @@ document: generated shape=uniform n=64 seed=1 labels=4
 dialect: plan=CoreXPath source=RegularXPath
 plan: <dos[a]>
 
-program: 4 instrs, 3 regs, result r0, main [0,4), dag_hits=0, downward=yes (bit_ops=5)
-  0: r0 = true   [execs 1]
-  1: r1 = label a   [execs 1]
-  2: r2 = and r0 r1   [execs 1]
-  3: r0 = axis aos r2   [execs 1]
+program: 2 instrs, 2 regs, result r1, main [0,2), dag_hits=0, downward=yes (bit_ops=5)
+  0: r0 = label a   [execs 1]
+  1: r1 = axis aos r0   [execs 1]
 
 dispatch: register_machine
 star rounds: used 0 of budget 72
@@ -43,15 +41,15 @@ cross-check: interpreter bit-for-bit match
 
 trace:
 query
-  plan_cache.parse_compiled instrs=4 regs=3 dag_hits=0 downward=1
+  plan_cache.parse_compiled instrs=2 regs=2 dag_hits=0 downward=1
     - plan_cache: text miss, parsed + interned
     - superopt: no improving rewrite
     - plan_cache: program miss, lowered
-  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=72 instrs_executed=4 result_count=28
+  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=72 instrs_executed=2 result_count=28
     - dispatch: register_machine
   interpreter.select axis.aos.sparse_path=1 axis.aos.touches=28 result_count=28
 
-registry delta (counters): {"axis.aos.sparse_path": 2, "exec.dispatch.register_machine": 1, "exec.evals": 1, "exec.instrs_executed": 4, "plan_cache.misses": 1, "plan_cache.program_misses": 1, "superopt.programs": 1, "superopt.unchanged": 1, "tree_cache.label_builds": 1}
+registry delta (counters): {"axis.aos.sparse_path": 2, "exec.dispatch.register_machine": 1, "exec.evals": 1, "exec.instrs_executed": 2, "plan_cache.misses": 1, "plan_cache.program_misses": 1, "superopt.programs": 1, "superopt.unchanged": 1, "tree_cache.label_builds": 1}
 consistent: true
 )";
 

@@ -291,6 +291,90 @@ TEST(SimdKernelsTest, CompactKernelMatchesPerBitReferenceAtEveryLevel) {
   }
 }
 
+// stab_words: node v = base + i (i < 64*n) gets its bit OR-ed in iff some
+// source s — a set bit of the span or `nab`, the first source past it —
+// has v < s < end[i]. Checked per node against that definition at every
+// level on random end columns that mix leaves (end = v + 1), ends on word
+// boundaries and at hi, and random ends; sources at every density, on bits
+// 0 and 63, and with runs of 3+ empty words that `nab` must cross.
+TEST(SimdKernelsTest, StabKernelMatchesPerNodeReferenceAtEveryLevel) {
+  Rng rng(909);
+  int empty_runs = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = 1 + rng.NextBelow(trial % 4 == 0 ? 24 : 6);
+    const int32_t base = 64 * static_cast<int32_t>(rng.NextBelow(4));
+    const int32_t span_end = base + static_cast<int32_t>(64 * n);
+    const int32_t tail =
+        rng.NextBelow(3) == 0 ? 0 : static_cast<int32_t>(rng.NextBelow(200));
+    const int32_t hi = span_end + tail;
+    std::vector<int32_t> end(64 * n);
+    for (size_t i = 0; i < end.size(); ++i) {
+      const int32_t v = base + static_cast<int32_t>(i);
+      const int32_t next_boundary = (v + 64) & ~63;
+      switch (rng.NextBelow(5)) {
+        case 0:
+          end[i] = v + 1;
+          break;
+        case 1:
+          end[i] = std::min(hi, next_boundary + 64 * static_cast<int32_t>(
+                                                        rng.NextBelow(3)));
+          break;
+        case 2:
+          end[i] = hi;
+          break;
+        default:
+          end[i] = rng.NextInt(v + 1, hi);
+          break;
+      }
+    }
+    const double densities[] = {0.0, 0.02, 1.0 / 3, 0.9};
+    const double density = densities[trial % 4];
+    std::vector<uint64_t> src(n);
+    for (size_t w = 0; w < n; ++w) {
+      // Every third trial leaves runs of empty words between sources.
+      if (trial % 3 == 0 && w % 5 != 0) continue;
+      for (int b = 0; b < 64; ++b) {
+        if (rng.NextBool(density)) src[w] |= uint64_t{1} << b;
+      }
+      if (rng.NextBelow(4) == 0) src[w] |= 1;
+      if (rng.NextBelow(4) == 0) src[w] |= uint64_t{1} << 63;
+    }
+    for (size_t w = 0, run = 0; w < n; ++w) {
+      run = src[w] == 0 ? run + 1 : 0;
+      if (run == 3) ++empty_runs;
+    }
+    // nab: the first source past the span, or hi (>= every end) for none.
+    const int32_t nab = rng.NextBool() ? hi : rng.NextInt(span_end, hi);
+    const auto is_source = [&](int32_t i) {
+      return ((src[i >> 6] >> (i & 63)) & 1) != 0;
+    };
+    std::vector<uint64_t> expected = RandomWords(n, &rng);
+    const std::vector<uint64_t> before = expected;
+    int32_t first = nab;
+    for (int32_t i = static_cast<int32_t>(64 * n) - 1; i >= 0; --i) {
+      if (is_source(i)) first = base + i;
+    }
+    for (int32_t i = 0; i < static_cast<int32_t>(64 * n); ++i) {
+      bool stabbed = nab < end[i];
+      for (int32_t s = base + i + 1; s < end[i] && s < span_end; ++s) {
+        stabbed = stabbed || is_source(s - base);
+      }
+      if (stabbed) expected[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+    for (Level level : AvailableLevels()) {
+      std::vector<uint64_t> got = before;
+      const int32_t ret = KernelsFor(level).stab_words(
+          got.data(), src.data(), end.data(), base, n, nab);
+      ASSERT_EQ(got, expected) << "stab level=" << LevelName(level)
+                               << " trial=" << trial << " n=" << n
+                               << " base=" << base << " nab=" << nab;
+      ASSERT_EQ(ret, first) << "stab level=" << LevelName(level)
+                            << " trial=" << trial;
+    }
+  }
+  EXPECT_GE(empty_runs, 20);
+}
+
 // ---------------------------------------------------------------------------
 // Bitset-layer equivalence under each forced level: the ranged kernels
 // split [lo, hi) into masked partial words and a whole-word middle run;
