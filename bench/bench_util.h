@@ -103,17 +103,15 @@ std::string ThroughputJsonPath();
 /// bench/exp12_compiled.cc.
 std::string CompiledJsonPath();
 
-/// Path of the SIMD-kernel / superoptimizer benchmark JSON
-/// (XPTC_BENCH_KERNELS_JSON or BENCH_kernels.json): scalar-vs-vector
-/// kernel microbenches and superopt end-to-end comparisons from
+/// Path of the SIMD-kernel benchmark JSON (XPTC_BENCH_KERNELS_JSON or
+/// BENCH_kernels.json): scalar-vs-vector kernel microbenches from
 /// bench/exp13_kernels.cc. Separate file because the numbers depend on
 /// the host's vector ISA.
 std::string KernelsJsonPath();
 
 /// Path of the axis-streaming benchmark JSON (XPTC_BENCH_AXIS_JSON or
-/// BENCH_axis.json): sparse-vs-dense axis kernel dispatch and the
-/// profile-fed re-superoptimization measurements from
-/// bench/exp14_axis_streaming.cc. Separate file because the dense-path
+/// BENCH_axis.json): sparse-vs-dense axis kernel dispatch from
+/// bench/exp14_axis_streaming.cc (exp16 adds its closure-axis section). Separate file because the dense-path
 /// numbers depend on the host's gather throughput.
 std::string AxisJsonPath();
 

@@ -1,7 +1,6 @@
-// E14 — density-adaptive streaming axis kernels and profile-fed
-// re-superoptimization (ISSUE 7).
+// E14 — density-adaptive streaming axis kernels.
 //
-// Three claims are measured:
+// Two claims are measured:
 //
 //  1. Dense-frontier streaming: on a dense source set the child image is
 //     one sequential gather over the parent column (out[w] bit b =
@@ -16,16 +15,6 @@
 //  2. End to end: child/parent-heavy compiled workloads (star fixpoints
 //     whose frontiers saturate) inherit the win through the auto
 //     dispatch with no query change.
-//
-//  3. Profile-fed reopt: PlanCache::RecordExecution accumulates measured
-//     per-instruction execution counts; once a plan is warm the next hit
-//     re-runs the beam-search superoptimizer with the observed profile
-//     (measured star rounds instead of the static guess) and re-caches
-//     on a modeled-cost win. The workload is a star whose fixpoint
-//     converges in zero rounds on the measured data, so the reopt fires
-//     deterministically (the sink rewrite moves the star's setup into its
-//     never-entered body); the re-cached program must be bit-for-bit
-//     equivalent.
 //
 // Alongside claim 1, the streamed ancestor sweep is timed at every
 // available SIMD level on a 1M uniform and a 256k caterpillar tree
@@ -50,9 +39,7 @@
 //    "e2e": {"n": int, "cases": [{"name": str, "query": str,
 //            "sparse_us": f, "auto_us": f, "speedup": f,
 //            "match": bool}, ...]},
-//    "axis_streaming_not_slower": bool,
-//    "profile_reopt": {"reopts": int, "program_changed": bool,
-//                      "match": bool}}
+//    "axis_streaming_not_slower": bool}
 
 #include <benchmark/benchmark.h>
 
@@ -70,7 +57,6 @@
 #include "exec/engine.h"
 #include "exec/program.h"
 #include "obs/metrics.h"
-#include "workload/plan_cache.h"
 #include "xpath/axis_kernels.h"
 #include "xpath/parser.h"
 
@@ -344,64 +330,13 @@ std::vector<E2eCase> E2eReport(int n, bool* all_match) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: profile-fed re-superoptimization through the plan cache.
-
-struct ReoptReport {
-  int64_t reopts = 0;
-  bool program_changed = false;
-  bool match = false;
-};
-
-ReoptReport ProfileReoptReport(int n) {
-  std::printf("\nProfile-fed re-superoptimization (uniform tree, n = %d):\n",
-              n);
-  ReoptReport report;
-  Alphabet alphabet;
-  PlanCache cache;
-  // A path star whose fixpoint converges in zero rounds on this data: the
-  // label `c` is absent from the two-label tree, so the star's frontier
-  // is empty and its body never runs. The static model prices the body at
-  // `star_round_estimate` rounds and keeps the body-only label mask in
-  // main; the measured profile shows zero rounds, so the superoptimizer
-  // sinks that setup into the (never-entered) body — a data-dependent win
-  // only a profile can surface. The reopt must fire exactly once here.
-  const std::string text = "<(child[a]/desc)*[c]>";
-  auto compiled = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  const Tree tree = bench::BenchTree(&alphabet, n,
-                                     TreeShape::kUniformRecursive, 16,
-                                     /*num_labels=*/2);
-  exec::ExecEngine engine(tree);
-  const Bitset baseline = engine.EvalGeneral(*compiled.program);
-  const std::vector<int64_t>& execs = engine.last_run().instr_execs;
-  for (int i = 0; i < PlanCache::kWarmProfiledRuns; ++i) {
-    cache.RecordExecution(&alphabet, compiled, execs);
-  }
-  auto warmed = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  report.reopts = static_cast<int64_t>(cache.stats().profile_reopts);
-  report.program_changed = warmed.program != compiled.program;
-  report.match = engine.EvalGeneral(*warmed.program) == baseline;
-  std::printf("  profile reopts: %lld, program %s (sunk=%d), results %s\n",
-              static_cast<long long>(report.reopts),
-              report.program_changed ? "re-cached" : "unchanged",
-              warmed.program->pre_superopt() != nullptr
-                  ? warmed.program->superopt_stats().sunk
-                  : 0,
-              report.match ? "match" : "MISMATCH");
-  std::printf("Expected shape: the warm hit re-runs the superoptimizer "
-              "under the measured profile and re-caches a cheaper program "
-              "(the cold star's setup sinks into its body); the rewrite "
-              "must be invisible in results.\n");
-  return report;
-}
-
-// ---------------------------------------------------------------------------
 // JSON section.
 
 std::string SectionJson(const std::vector<AxisRow>& rows, bool axis_dense_2x,
                         bool auto_within_best,
                         const std::vector<StabRow>& stab_rows,
                         const std::vector<E2eCase>& e2e, int e2e_n,
-                        bool not_slower, const ReoptReport& reopt) {
+                        bool not_slower) {
   std::ostringstream os;
   os << "{\"smoke\": " << (bench::SmokeMode() ? "true" : "false");
   os << ", \"microbench\": {\"rows\": [";
@@ -442,11 +377,7 @@ std::string SectionJson(const std::vector<AxisRow>& rows, bool axis_dense_2x,
        << ", \"match\": " << (ec.match ? "true" : "false") << "}";
   }
   os << "]}, \"axis_streaming_not_slower\": "
-     << (not_slower ? "true" : "false")
-     << ", \"profile_reopt\": {\"reopts\": " << reopt.reopts
-     << ", \"program_changed\": "
-     << (reopt.program_changed ? "true" : "false")
-     << ", \"match\": " << (reopt.match ? "true" : "false") << "}}";
+     << (not_slower ? "true" : "false") << "}";
   return os.str();
 }
 
@@ -479,23 +410,16 @@ int main(int argc, char** argv) {
       "E14: density-adaptive streaming axis kernels",
       "dense-frontier axis images stream the tree columns (gathers over "
       "parent[] and the child slots) instead of chasing sibling pointers "
-      "per source, and "
-      "warm plans re-superoptimize under their measured execution profile "
-      "[ISSUE 7]",
+      "per source",
       "child/parent images forced-sparse vs forced-dense vs auto at "
       "64k/1M nodes across source densities; compiled child/parent-heavy "
-      "workloads sparse-vs-auto at fixed n; a warmed PlanCache plan "
-      "re-superoptimized under its recorded profile; all bit-for-bit "
-      "checked");
+      "workloads sparse-vs-auto at fixed n; all bit-for-bit checked");
   bool axis_dense_2x = false;
   bool all_match = true;
   const auto rows = xptc::MicrobenchReport(&axis_dense_2x, &all_match);
   const auto stab_rows = xptc::AncestorSweepReport(&all_match);
   const int e2e_n = xptc::bench::SmokeMode() ? 4000 : 100000;
   const auto e2e = xptc::E2eReport(e2e_n, &all_match);
-  const auto reopt =
-      xptc::ProfileReoptReport(xptc::bench::SmokeMode() ? 2000 : 20000);
-  if (!reopt.match) all_match = false;
   // Regression gate (see ci.yml): the auto dispatch must not lose to the
   // always-sparse baseline in aggregate — on sparse sources it IS the
   // sparse path plus one popcount, on dense sources it must win; 2%
@@ -543,21 +467,11 @@ int main(int argc, char** argv) {
   xptc::bench::UpdateBenchJson(
       xptc::bench::AxisJsonPath(), "exp14_axis_streaming",
       xptc::SectionJson(rows, axis_dense_2x, auto_within_best, stab_rows,
-                        e2e, e2e_n, not_slower, reopt));
+                        e2e, e2e_n, not_slower));
   xptc::bench::UpdateBenchJson(xptc::bench::AxisJsonPath(), "obs_registry",
                                xptc::obs::Registry::Default().Json());
   std::printf("(recorded in %s)\n", xptc::bench::AxisJsonPath().c_str());
   if (!all_match) return 1;
-  // The reopt scenario is deterministic (a zero-round star the static
-  // model cannot see); the warm hit must fire the profile reopt.
-  if (reopt.reopts < 1 || !reopt.program_changed) {
-    std::fprintf(stderr,
-                 "FATAL: profile-fed reopt did not fire on the zero-round "
-                 "star workload (reopts=%lld, changed=%d)\n",
-                 static_cast<long long>(reopt.reopts),
-                 reopt.program_changed ? 1 : 0);
-    return 1;
-  }
   if (!not_slower) {
     std::fprintf(stderr,
                  "FATAL: auto axis dispatch slower than forced-sparse in "

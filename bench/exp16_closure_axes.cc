@@ -1,7 +1,7 @@
 // E16 — one-pass closure axis kernels (PR 9): interval/streamed closure
 // evaluation vs the semi-naive star fixpoint it replaces.
 //
-// Three claims are measured:
+// Two claims are measured:
 //
 //  1. Closure collapse: lowering `(axis)*` star bodies to the one-pass
 //     closure ops (kDescFill / kAncMark / kSibChain) replaces an
@@ -11,26 +11,20 @@
 //     the collapse must never lose (the fixpoint converges in a few
 //     rounds there, so the bar is parity, not a blowout).
 //
-//  2. Warm plans benefit: a program compiled *before* the collapse
-//     existed (toggle off) and then re-superoptimized picks up the
-//     closure op via the witness-checked collapse move — the PlanCache
-//     re-superoptimization path, exercised directly.
-//
-//  3. Per-tree calibration never loses: the calibrated auto dispatch
+//  2. Per-tree calibration never loses: the calibrated auto dispatch
 //     (TreeCache's measured sparse/dense crossover) stays within 5% of
 //     the fixed-constant policy on the exp14-style axis matrix.
 //
 // Every timed comparison is bit-for-bit checked across the fixpoint
-// program, the collapsed program, the superoptimized program, and the
-// interpreter in both toggle states; any mismatch dumps a replayable
+// program, the collapsed program, and the interpreter in both toggle
+// states; any mismatch dumps a replayable
 // .case file and exits 1.
 //
 // BENCH_axis.json section schema ("exp16_closure_axes"):
 //   {"smoke": bool,
 //    "closure": {"cases": [{"shape": str, "n": int, "axis": str,
 //                "fix_us": f, "clo_us": f, "speedup": f,
-//                "star_rounds": int, "superopt_collapsed": bool,
-//                "match": bool}, ...]},
+//                "star_rounds": int, "match": bool}, ...]},
 //    "calibration": {"n": int, "child_crossover": int,
 //                    "parent_crossover": int,
 //                    "rows": [{"axis": str, "density": f, "default_us": f,
@@ -52,7 +46,6 @@
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/program.h"
-#include "exec/superopt.h"
 #include "obs/metrics.h"
 #include "xpath/ast.h"
 #include "xpath/axis_kernels.h"
@@ -80,8 +73,7 @@ struct ClosureCase {
   Axis axis = Axis::kChild;
   double fix_seconds = 0;
   double clo_seconds = 0;
-  int64_t star_rounds = 0;        // rounds the fixpoint actually ran
-  bool superopt_collapsed = false;  // re-superopt shed the star entirely
+  int64_t star_rounds = 0;  // rounds the fixpoint actually ran
   bool match = false;
 };
 
@@ -127,7 +119,7 @@ std::vector<ClosureCase> ClosureReport(bool* all_ok) {
                 "one-pass closure kernel:\n", spec.name.c_str(), spec.n,
                 is_chain ? ", single-seed labels" : "");
     bench::PrintRow({"axis", "fix us", "closure us", "speedup", "rounds",
-                     "collapsed", "match"});
+                     "match"});
     const Tree tree =
         is_chain ? SparseChain(spec.n, a, b, c)
                  : bench::BenchTree(&alphabet, spec.n, spec.shape, 11);
@@ -147,70 +139,48 @@ std::vector<ClosureCase> ClosureReport(bool* all_ok) {
       auto fix = exec::Program::Compile(query);
       axis::ResetClosureCollapseForTesting();
       auto clo = exec::Program::Compile(query);
-      // The PlanCache re-superoptimization path: a warm pre-closure
-      // program must pick up the collapse move (claim 2).
-      auto sup = exec::Superoptimize(fix);
 
       ClosureCase result;
       result.shape = spec.name;
       result.n = spec.n;
       result.axis = ax;
-      Bitset fix_bits(0), clo_bits(0), sup_bits(0);
+      Bitset fix_bits(0), clo_bits(0);
       result.fix_seconds = bench::MedianSecondsN(
           [&] { fix_bits = engine.EvalGeneral(*fix); }, inner);
       result.star_rounds = engine.last_run().star_rounds_used;
       result.clo_seconds = bench::MedianSecondsN(
           [&] { clo_bits = engine.EvalGeneral(*clo); }, inner);
-      // Re-superoptimization must shed the star: a distinct program that
-      // runs in zero fixpoint rounds. (Re-lowering inside Superoptimize
-      // already collapses; the beam's collapse move is the backstop for
-      // stars that only become bare-axis after other rewrites.)
-      sup_bits = engine.EvalGeneral(*sup);
-      result.superopt_collapsed = sup.get() != fix.get() &&
-                                  engine.last_run().star_rounds_used == 0;
-
-      // Bit-for-bit: fixpoint, collapsed, superoptimized, and the
-      // interpreter with the fast path both off and on.
+      // Bit-for-bit: fixpoint, collapsed, and the interpreter with the
+      // fast path both off and on.
       axis::SetClosureCollapseForTesting(false);
       Evaluator slow_eval(tree, &scratch);
       const Bitset interp_fix = slow_eval.EvalNode(*query);
       axis::ResetClosureCollapseForTesting();
       Evaluator fast_eval(tree, &scratch);
       const Bitset interp_clo = fast_eval.EvalNode(*query);
-      result.match = fix_bits == clo_bits && fix_bits == sup_bits &&
-                     fix_bits == interp_fix && fix_bits == interp_clo;
+      result.match = fix_bits == clo_bits && fix_bits == interp_fix &&
+                     fix_bits == interp_clo;
 
       bench::PrintRow(
           {AxisToString(ax), bench::Fmt(result.fix_seconds * 1e6, 1),
            bench::Fmt(result.clo_seconds * 1e6, 1),
            bench::Fmt(result.fix_seconds / result.clo_seconds, 1),
            std::to_string(result.star_rounds),
-           result.superopt_collapsed ? "yes" : "NO",
            result.match ? "yes" : "MISMATCH"});
       if (!result.match) {
         *all_ok = false;
         const std::string path = bench::DumpMismatchCase(
             tree, alphabet, NodeToString(*query, alphabet),
-            "exp16 closure case: fixpoint vs closure vs superopt vs "
-            "interpreter");
+            "exp16 closure case: fixpoint vs closure vs interpreter");
         std::fprintf(stderr, "FATAL: engines disagree on %s/%s (case: %s)\n",
                      spec.name.c_str(), AxisToString(ax), path.c_str());
-      }
-      if (!result.superopt_collapsed) {
-        *all_ok = false;
-        std::fprintf(stderr,
-                     "FATAL: re-superoptimizing the pre-closure %s/%s "
-                     "program did not collapse its star (warm PlanCache "
-                     "entries would never pick up the closure kernels)\n",
-                     spec.name.c_str(), AxisToString(ax));
       }
       results.push_back(std::move(result));
     }
   }
   std::printf("Expected shape: chain child/parent rows >= 10x (the fixpoint "
               "pays ~depth rounds), every other row >= ~1x; the rounds "
-              "column is the depth the fixpoint walked; collapsed on every "
-              "row.\n");
+              "column is the depth the fixpoint walked.\n");
   return results;
 }
 
@@ -323,8 +293,6 @@ std::string SectionJson(const std::vector<ClosureCase>& closure,
        << ", \"clo_us\": " << bench::Fmt(c.clo_seconds * 1e6, 2)
        << ", \"speedup\": " << bench::Fmt(c.fix_seconds / c.clo_seconds, 2)
        << ", \"star_rounds\": " << c.star_rounds
-       << ", \"superopt_collapsed\": "
-       << (c.superopt_collapsed ? "true" : "false")
        << ", \"match\": " << (c.match ? "true" : "false") << "}";
   }
   os << "]}, \"calibration\": {\"n\": " << calibration_n
@@ -398,8 +366,7 @@ int main(int argc, char** argv) {
   xptc::bench::PrintHeader(
       "E16: one-pass closure axis kernels",
       "closure axes ([[axis*]]) evaluate in one interval/streamed kernel "
-      "pass instead of an O(depth)-round star fixpoint, and warm plans "
-      "pick the collapse up through re-superoptimization [T2]",
+      "pass instead of an O(depth)-round star fixpoint [T2]",
       "raw <(axis)*[a]> plans compiled with the collapse off (fixpoint "
       "kStar) and on (closure op) on chain/uniform/caterpillar trees; "
       "calibrated-vs-default auto dispatch on the exp14 axis matrix");

@@ -365,9 +365,9 @@ class Bitset {
         });
   }
 
-  /// this[lo,hi) = a[lo,hi) & ~b[lo,hi). Fused kernel for the
-  /// superoptimizer's kAndNot instruction: one pass where the unfused
-  /// bytecode (copy, flip, and) takes three.
+  /// this[lo,hi) = a[lo,hi) & ~b[lo,hi). Fused kernel for the kAndNot
+  /// instruction that lowering emits for φ ∧ ¬ψ: one pass where the
+  /// unfused bytecode (copy, flip, and) takes three.
   void AndNotRange(const Bitset& a, const Bitset& b, int lo, int hi) {
     XPTC_DCHECK(size_ == a.size_ && size_ == b.size_);
     ForEachRangeRun(

@@ -6,6 +6,8 @@
 #include <map>
 #include <queue>
 #include <sstream>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,10 +64,9 @@ class Lowerer {
 
   Output Lower(const NodePtr& plan) {
     seqs_.emplace_back();  // seq 0: the top-level sequence
-    const int result = LowerNode(plan);
     Output out;
-    out.result_vreg = result;
-    out.num_vregs = num_vregs_;
+    out.result_vreg = LowerNode(plan);
+    out.num_vregs = DropDeadNots(&out.result_vreg);
     out.dag_hits = dag_hits_;
     // Linearize: main first, then loop bodies in creation order; rewrite
     // each kStar's body reference from sequence id to instruction range.
@@ -102,6 +103,68 @@ class Lowerer {
 
   void Append(int seq, Instr ins) {
     seqs_[static_cast<size_t>(seq)].instrs.push_back(std::move(ins));
+  }
+
+  // Appends `a op b` (op ∈ {kAnd, kOr}) to `seq`. A negated operand fuses:
+  // x ∧ ¬y becomes `andnot x y` and x ∨ ¬y `ornot x y`, in either operand
+  // order, reading y's register instead of the kNot's.
+  int EmitBinary(int seq, Op op, int a, int b) {
+    Instr ins;
+    ins.op = op;
+    ins.a = a;
+    ins.b = b;
+    if (negation_of_.count(a) != 0 && negation_of_.count(b) == 0) {
+      std::swap(ins.a, ins.b);
+    }
+    const auto negated = negation_of_.find(ins.b);
+    if (negated != negation_of_.end()) {
+      ins.op = op == Op::kAnd ? Op::kAndNot : Op::kOrNot;
+      ins.b = negated->second;
+    }
+    ins.dst = NewVreg();
+    Append(seq, ins);
+    return ins.dst;
+  }
+
+  // Deletes every kNot that no instruction reads any more (all its readers
+  // fused it), then renumbers the vregs densely, as the register allocator
+  // requires. Returns the new vreg count.
+  int DropDeadNots(int* result) {
+    std::vector<int> reads(static_cast<size_t>(num_vregs_), 0);
+    ++reads[static_cast<size_t>(*result)];
+    for (const LoopSeq& seq : seqs_) {
+      for (const Instr& ins : seq.instrs) {
+        for (const int vreg : {ins.a, ins.b, ins.out}) {
+          if (vreg >= 0) ++reads[static_cast<size_t>(vreg)];
+        }
+      }
+    }
+    std::vector<int> remap(static_cast<size_t>(num_vregs_), -1);
+    for (LoopSeq& seq : seqs_) {
+      std::erase_if(seq.instrs, [&reads](const Instr& ins) {
+        return ins.op == Op::kNot && reads[static_cast<size_t>(ins.dst)] == 0;
+      });
+      for (const Instr& ins : seq.instrs) {
+        remap[static_cast<size_t>(ins.dst)] = 0;
+        if (ins.op == Op::kStar) remap[static_cast<size_t>(ins.in)] = 0;
+      }
+    }
+    int next = 0;
+    for (int& id : remap) {
+      if (id == 0) id = next++;
+    }
+    const auto apply = [&remap](int* vreg) {
+      if (*vreg >= 0) *vreg = remap[static_cast<size_t>(*vreg)];
+    };
+    for (LoopSeq& seq : seqs_) {
+      for (Instr& ins : seq.instrs) {
+        for (int* vreg : {&ins.dst, &ins.a, &ins.b, &ins.in, &ins.out}) {
+          apply(vreg);
+        }
+      }
+    }
+    apply(result);
+    return next;
   }
 
   // Stands for the all-nodes set as a path's targets, so the kSome
@@ -155,21 +218,18 @@ class Lowerer {
         ins.dst = NewVreg();
         Append(0, ins);
         reg = ins.dst;
+        negation_of_.emplace(reg, ins.a);
         break;
       }
       case NodeOp::kAnd:
       case NodeOp::kOr: {
-        Instr ins;
-        ins.op = node->op == NodeOp::kAnd ? Op::kAnd : Op::kOr;
-        ins.a = LowerNode(node->left);
-        ins.b = LowerNode(node->right);
-        ins.dst = NewVreg();
-        Append(0, ins);
-        reg = ins.dst;
+        const int left = LowerNode(node->left);
+        reg = EmitBinary(0, node->op == NodeOp::kAnd ? Op::kAnd : Op::kOr,
+                         left, LowerNode(node->right));
         break;
       }
       case NodeOp::kSome:
-        reg = LowerPathBack(node->path, kAllNodes, 0);
+        reg = Materialize(LowerPathBack(node->path, kAllNodes, 0));
         break;
       case NodeOp::kWithin: {
         // Delegated to the shared-context interpreter engine: W results
@@ -189,8 +249,8 @@ class Lowerer {
   }
 
   // Register holding the backward image {v : ∃t ∈ targets, (v, t) ∈ [[p]]},
-  // emitted into sequence `seq`. ⟨p⟩φ = back(p, φ), which is why kAxis
-  // stores the *inverse* axis.
+  // emitted into sequence `seq`, or kAllNodes when that image is every
+  // node. ⟨p⟩φ = back(p, φ), which is why kAxis stores the *inverse* axis.
   int LowerPathBack(const PathPtr& path, int targets, int seq) {
     if (targets == true_vreg_) targets = kAllNodes;  // e.g. `<child[true]>`
     const auto key = std::make_pair(path.get(), targets);
@@ -224,13 +284,9 @@ class Lowerer {
         break;
       }
       case PathOp::kUnion: {
-        Instr ins;
-        ins.op = Op::kOr;
-        ins.a = LowerPathBack(path->left, targets, seq);
-        ins.b = LowerPathBack(path->right, targets, seq);
-        ins.dst = NewVreg();
-        Append(seq, ins);
-        reg = ins.dst;
+        const int left = Materialize(LowerPathBack(path->left, targets, seq));
+        reg = EmitBinary(seq, Op::kOr, left,
+                         Materialize(LowerPathBack(path->right, targets, seq)));
         break;
       }
       case PathOp::kFilter: {
@@ -239,16 +295,18 @@ class Lowerer {
           reg = LowerPathBack(path->left, LowerNode(path->pred), seq);
           break;
         }
-        Instr ins;
-        ins.op = Op::kAnd;
-        ins.a = targets;
-        ins.b = LowerNode(path->pred);  // hoisted: computed once, in main
-        ins.dst = NewVreg();
-        Append(seq, ins);
-        reg = LowerPathBack(path->left, ins.dst, seq);
+        // The predicate is hoisted: computed once, in main.
+        const int filtered =
+            EmitBinary(seq, Op::kAnd, targets, LowerNode(path->pred));
+        reg = LowerPathBack(path->left, filtered, seq);
         break;
       }
       case PathOp::kStar: {
+        // The closure is reflexive, so over all nodes it is all nodes.
+        if (targets == kAllNodes) {
+          reg = kAllNodes;
+          break;
+        }
         // Closure collapse: a star whose body is one bare axis step is the
         // reflexive-transitive closure of that step — when the closure is
         // itself a one-pass streaming kernel, emit one closure instruction
@@ -262,7 +320,7 @@ class Lowerer {
           Instr ins;
           ins.op = ClosureOpFor(closure);
           ins.axis = closure;
-          ins.a = Materialize(targets);
+          ins.a = targets;
           ins.dst = NewVreg();
           Append(seq, ins);
           reg = ins.dst;
@@ -273,7 +331,7 @@ class Lowerer {
         const int body = NewSeq();
         Instr ins;
         ins.op = Op::kStar;
-        ins.a = Materialize(targets);
+        ins.a = targets;
         ins.in = NewVreg();
         ins.out = LowerPathBack(path->left, ins.in, body);
         ins.dst = NewVreg();
@@ -289,6 +347,8 @@ class Lowerer {
 
   std::vector<LoopSeq> seqs_;
   std::unordered_map<const NodeExpr*, int> node_memo_;
+  // kNot result vreg -> the vreg it negates, for EmitBinary's fusion.
+  std::unordered_map<int, int> negation_of_;
   int num_vregs_ = 0;
   int dag_hits_ = 0;
   int true_vreg_ = -1;
@@ -425,54 +485,36 @@ class RegisterAllocator {
 
 }  // namespace
 
-Program::Lowered Program::LowerPlan(const NodePtr& plan) {
-  Lowerer lowerer;
-  Lowerer::Output out = lowerer.Lower(plan);
-  Lowered lowered;
-  lowered.code = std::move(out.code);
-  lowered.main_end = out.main_end;
-  lowered.result_vreg = out.result_vreg;
-  lowered.num_vregs = out.num_vregs;
-  lowered.dag_hits = out.dag_hits;
-  return lowered;
-}
-
-std::shared_ptr<Program> Program::Finish(NodePtr plan, int ast_nodes,
-                                         Lowered lowered) {
+std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
+  XPTC_CHECK(query != nullptr);
   std::shared_ptr<Program> program(new Program());
-  program->plan_ = std::move(plan);
-  program->stats_.ast_nodes = ast_nodes;
+  // A private interner: collapses repeated subexpressions of *this* query.
+  // (PlanCache additionally shares canonical plans — and thus programs —
+  // across the whole workload.)
+  ExprInterner interner;
+  program->plan_ = interner.Intern(query);
+  Lowerer::Output lowered = Lowerer().Lower(program->plan_);
   program->code_ = std::move(lowered.code);
   program->main_end_ = lowered.main_end;
   RegisterAllocator allocator;
   program->num_regs_ =
       allocator.Run(&program->code_, program->main_end_, lowered.num_vregs,
                     &program->result_reg_, lowered.result_vreg);
-  program->stats_.num_instrs = static_cast<int>(program->code_.size());
-  program->stats_.num_vregs = lowered.num_vregs;
-  program->stats_.num_regs = program->num_regs_;
-  program->stats_.dag_hits = lowered.dag_hits;
+  CompileStats& stats = program->stats_;
+  stats.ast_nodes = NodeSize(*query);
+  stats.num_instrs = static_cast<int>(program->code_.size());
+  stats.num_vregs = lowered.num_vregs;
+  stats.num_regs = program->num_regs_;
+  stats.dag_hits = lowered.dag_hits;
   if (IsDownwardNode(*program->plan_)) {
     if (auto downward = DownwardProgram::Compile(program->plan_)) {
       program->downward_ =
           std::make_unique<const DownwardProgram>(std::move(*downward));
-      program->stats_.downward = true;
-      program->stats_.bit_ops =
-          static_cast<int>(program->downward_->code().size());
+      stats.downward = true;
+      stats.bit_ops = static_cast<int>(program->downward_->code().size());
     }
   }
   return program;
-}
-
-std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
-  XPTC_CHECK(query != nullptr);
-  // A private interner: collapses repeated subexpressions of *this* query.
-  // (PlanCache additionally shares canonical plans — and thus programs —
-  // across the whole workload.)
-  ExprInterner interner;
-  NodePtr plan = interner.Intern(query);
-  Lowered lowered = LowerPlan(plan);
-  return Finish(std::move(plan), NodeSize(*query), std::move(lowered));
 }
 
 std::string Program::InstrToString(int i, const Alphabet& alphabet) const {
@@ -537,6 +579,107 @@ std::string Program::ToString(const Alphabet& alphabet) const {
   }
   if (downward_) os << downward_->ToString(alphabet);
   return os.str();
+}
+
+namespace {
+
+bool VerifyWalk(const Program& program, int begin, int end,
+                std::vector<char>* visited, std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  const std::vector<Instr>& code = program.code();
+  if (begin < 0 || end < begin || end > static_cast<int>(code.size())) {
+    return fail("instruction range out of bounds");
+  }
+  const auto ok_reg = [&program](int reg) {
+    return reg >= 0 && reg < program.num_regs();
+  };
+  for (int i = begin; i < end; ++i) {
+    if ((*visited)[static_cast<size_t>(i)]) {
+      return fail("instruction " + std::to_string(i) + " visited twice");
+    }
+    (*visited)[static_cast<size_t>(i)] = 1;
+    const Instr& ins = code[static_cast<size_t>(i)];
+    if (!ok_reg(ins.dst)) {
+      return fail("instruction " + std::to_string(i) + ": bad dst register");
+    }
+    bool need_a = false, need_b = false;
+    switch (ins.op) {
+      case Op::kTrue:
+      case Op::kHasChild:
+        break;
+      case Op::kLabel:
+        if (ins.label == kInvalidSymbol) {
+          return fail("instruction " + std::to_string(i) + ": invalid label");
+        }
+        break;
+      case Op::kNot:
+      case Op::kAxis:
+      case Op::kDescFill:
+      case Op::kAncMark:
+      case Op::kSibChain:
+        need_a = true;
+        break;
+      case Op::kAnd:
+      case Op::kOr:
+      case Op::kAndNot:
+      case Op::kOrNot:
+        need_a = need_b = true;
+        break;
+      case Op::kWithin:
+        if (ins.within == nullptr) {
+          return fail("instruction " + std::to_string(i) +
+                      ": kWithin without expression");
+        }
+        break;
+      case Op::kStar:
+        need_a = true;
+        if (!ok_reg(ins.in) || !ok_reg(ins.out)) {
+          return fail("instruction " + std::to_string(i) +
+                      ": bad star in/out register");
+        }
+        if (!VerifyWalk(program, ins.body_begin, ins.body_end, visited,
+                        error)) {
+          return false;
+        }
+        break;
+    }
+    if (need_a && !ok_reg(ins.a)) {
+      return fail("instruction " + std::to_string(i) + ": bad operand a");
+    }
+    if (need_b && !ok_reg(ins.b)) {
+      return fail("instruction " + std::to_string(i) + ": bad operand b");
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool VerifyProgram(const Program& program, std::string* error) {
+  const auto fail = [error](const char* message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  if (program.main_end() < 0 ||
+      program.main_end() > static_cast<int>(program.code().size())) {
+    return fail("main_end out of bounds");
+  }
+  if (program.result_reg() < 0 || program.result_reg() >= program.num_regs()) {
+    return fail("result register out of bounds");
+  }
+  std::vector<char> visited(program.code().size(), 0);
+  if (!VerifyWalk(program, 0, program.main_end(), &visited, error)) {
+    return false;
+  }
+  for (size_t i = 0; i < visited.size(); ++i) {
+    if (!visited[i]) {
+      return fail("unreachable instruction (orphaned star body)");
+    }
+  }
+  return true;
 }
 
 }  // namespace exec

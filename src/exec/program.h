@@ -25,9 +25,9 @@ enum class Op : uint8_t {
   kNot,     // dst := complement(a)
   kAnd,     // dst := a ∩ b
   kOr,      // dst := a ∪ b
-  kAndNot,  // dst := a ∖ b — fused form the superoptimizer produces from
-            //        kAnd(a, kNot(b)); one bitset pass instead of three
-  kOrNot,   // dst := a ∪ complement(b) — fused from kOr(a, kNot(b))
+  kAndNot,  // dst := a ∖ b — lowering's fused form of φ ∧ ¬ψ and of a
+            //        filter [¬ψ]; one bitset pass instead of three
+  kOrNot,   // dst := a ∪ complement(b) — lowering's fused form of φ ∨ ¬ψ
   kAxis,    // dst := axis-image(axis, a)   (axis already inverted: the
             //        lowering of ⟨p⟩ computes backward images)
   kStar,    // dst := reflexive-transitive back-image closure of a; the
@@ -40,8 +40,8 @@ enum class Op : uint8_t {
   // star loop's body is a single bare axis step whose closure is itself a
   // one-pass streaming kernel (`TransitiveClosureAxis`): the whole
   // O(depth)-round fixpoint collapses to one interval/streamed pass. Three
-  // mnemonics so disassembly and the cost model can tell the kernel
-  // families apart; execution is identical modulo the axis operand.
+  // mnemonics so disassembly can tell the kernel families apart;
+  // execution is identical modulo the axis operand.
   kDescFill,  // axis ∈ {desc} — preorder interval range-fill union
   kAncMark,   // axis ∈ {anc} — interval-stabbing backward sweep
   kSibChain,  // axis ∈ {fsib, psib} — slot-space sibling-closure pass
@@ -71,30 +71,18 @@ struct CompileStats {
   int bit_ops = 0;        // downward bit-program length (0 if !downward)
 };
 
-/// What the beam-search superoptimizer (exec/superopt.*) did to a program.
-/// Attached to the optimized Program; all-zero on a never-rewritten one.
-struct SuperoptStats {
-  int rounds = 0;      // beam rounds actually searched
-  int candidates = 0;  // candidate programs scored across all rounds
-  int fused = 0;       // kAnd/kOr + kNot pairs fused into kAndNot/kOrNot
-  int merged = 0;      // duplicate (possibly commuted) instructions merged
-  int hoisted = 0;     // loop-invariant body instructions moved out of stars
-  int sunk = 0;        // instructions moved into a cold star body — only
-                       // proposed when the (profile-fed) round estimate
-                       // falls below one, i.e. the star rarely runs
-  int dropped = 0;     // dead instructions removed
-  int collapsed = 0;   // star loops collapsed into one-pass closure ops
-                       // (kDescFill/kAncMark/kSibChain)
-  double cost_before = 0;  // weighted cost model, input program
-  double cost_after = 0;   // weighted cost model, winning candidate
-};
-
 /// A compiled query plan: the result of lowering a `NodeExpr` DAG into a
 /// flat, topologically ordered instruction sequence over bitset registers.
 ///
 ///  - The expression is hash-consed first (a private `ExprInterner`), so
 ///    every structurally distinct subexpression — even when the source AST
 ///    repeats it — is computed by exactly one instruction.
+///  - Every rewrite is fixed, applied the same way to every plan: filter
+///    predicates are hoisted out of star bodies, a star over one bare
+///    closure axis collapses to a one-pass closure op, filters, `child`
+///    steps and stars over all nodes fold away, and ∧/∨ with a negated operand (and a filter
+///    [¬ψ]) lower to kAndNot/kOrNot reading ψ's register, so a kNot is
+///    emitted only for a reader that cannot fuse it.
 ///  - Registers are allocated by loop-aware liveness (linear scan over the
 ///    execution-order positions, with values that cross a star-loop kept
 ///    live to the loop end), so hundreds of operations typically run in a
@@ -127,18 +115,6 @@ class Program {
   /// Non-null iff the plan is downward-compilable.
   const DownwardProgram* downward() const { return downward_.get(); }
 
-  /// The program this one was superoptimized from, or null if this program
-  /// came straight out of lowering (i.e. the superoptimizer either never
-  /// ran or found no improving rewrite). EXPLAIN renders the before/after
-  /// bytecode diff from this.
-  const std::shared_ptr<const Program>& pre_superopt() const {
-    return pre_superopt_;
-  }
-
-  /// Search statistics of the rewrite that produced this program (all-zero
-  /// when `pre_superopt()` is null).
-  const SuperoptStats& superopt_stats() const { return superopt_stats_; }
-
   /// Deterministic disassembly (used by lowering-determinism tests).
   std::string ToString(const Alphabet& alphabet) const;
 
@@ -148,30 +124,6 @@ class Program {
   std::string InstrToString(int i, const Alphabet& alphabet) const;
 
  private:
-  friend class Superoptimizer;  // exec/superopt.cc: re-lowers + rewrites
-
-  /// Lowering output before register allocation: SSA virtual registers,
-  /// flat code with star bodies as trailing instruction ranges. This is
-  /// the form the superoptimizer rewrites (regalloc CHECK-fails on gaps in
-  /// the vreg numbering, so rewrites renumber densely before Finish).
-  struct Lowered {
-    std::vector<Instr> code;
-    int main_end = 0;
-    int result_vreg = -1;
-    int num_vregs = 0;
-    int dag_hits = 0;
-  };
-
-  /// Deterministically lowers an interned plan (same plan -> same Lowered,
-  /// instruction for instruction; observed per-instruction execution
-  /// counts for a compiled program therefore align with a re-lowering).
-  static Lowered LowerPlan(const NodePtr& plan);
-
-  /// Register-allocates `lowered`, attaches the downward compilation, and
-  /// fills stats: the back half of Compile, shared with the superoptimizer.
-  static std::shared_ptr<Program> Finish(NodePtr plan, int ast_nodes,
-                                         Lowered lowered);
-
   Program() = default;
 
   std::vector<Instr> code_;
@@ -181,9 +133,13 @@ class Program {
   CompileStats stats_;
   NodePtr plan_;
   std::unique_ptr<const DownwardProgram> downward_;
-  std::shared_ptr<const Program> pre_superopt_;
-  SuperoptStats superopt_stats_;
 };
+
+/// Structural check over a finished (register-allocated) program: operand
+/// registers in range, per-op operand presence, star bodies form properly
+/// nested non-overlapping ranges, and every instruction is reachable
+/// exactly once from the main sequence. Tests run it on every lowering.
+bool VerifyProgram(const Program& program, std::string* error = nullptr);
 
 }  // namespace exec
 }  // namespace xptc

@@ -1,93 +1,23 @@
 #ifndef XPTC_EXEC_SUPEROPT_H_
 #define XPTC_EXEC_SUPEROPT_H_
 
-#include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "exec/program.h"
 
 namespace xptc {
 namespace exec {
 
-/// Beam-search peephole superoptimizer over compiled Program bytecode.
-///
-/// The search re-lowers the program's hash-consed plan into SSA form (the
-/// deterministic pre-regalloc representation) and explores sequences of
-/// semantics-preserving rewrites:
-///
-///  - fuse:  kAnd(a, x) / kOr(a, x) where x = kNot(c) becomes the fused
-///           kAndNot(a, c) / kOrNot(a, c) — one bitset pass in the engine
-///           instead of three;
-///  - merge: structurally identical (including commuted kAnd/kOr)
-///           instructions in the same sequence collapse onto the earlier
-///           definition;
-///  - drop:  instructions whose result is never read are deleted (a dead
-///           kStar takes its whole loop body with it);
-///  - hoist: a star-body instruction whose operands are all defined
-///           outside the loop moves to just before the owning kStar and
-///           runs once instead of once per round;
-///  - sink:  the dual — a main-sequence instruction consumed only inside
-///           one star's body moves to the top of that body. The static
-///           model never proposes it (a body execution count of
-///           `star_round_estimate` >= 1 per round can only lose), but a
-///           measured profile showing the star converges in zero rounds
-///           makes the body strictly cheaper than main: the setup cost of
-///           a star the data never enters disappears.
-///
-/// Candidates are scored by a node-weighted cost model: each instruction
-/// costs OpWeight(op) × its execution count — observed per-instruction
-/// counts from the obs layer when provided, otherwise a static estimate
-/// of `star_round_estimate` executions per star-nesting level. The beam
-/// keeps the `beam_width` cheapest distinct candidates per round (ties
-/// broken by serialized form, so the search is fully deterministic).
-///
-/// Equivalence enforcement is layered: every rewrite is validated by a
-/// structural witness check at rewrite time (defs-before-uses, star
-/// body integrity — violations are counted on `superopt.witness_rejects`
-/// and the move discarded), the `sexec` differential oracle fuzzes
-/// optimized programs against the other nine pipelines, and the
-/// `superopt_not_slower` bench gate keeps the rewrites a win end to end.
-struct SuperoptOptions {
-  int beam_width = 4;
-  int max_rounds = 32;
-  /// Assumed star rounds per nesting level for the static cost estimate.
-  double star_round_estimate = 8.0;
-  /// Observed per-instruction execution counts, index-aligned with
-  /// `base->code()` (RunInfo::instr_execs — re-lowering is deterministic,
-  /// so the SSA form aligns instruction for instruction). Null, or a
-  /// size-mismatched vector, falls back to the static estimate.
-  const std::vector<int64_t>* observed_execs = nullptr;
-};
-
-/// Rewrites `base` into the cheapest equivalent program the beam finds.
-/// Returns `base` itself (pointer-equal) when no improving rewrite exists
-/// or `base` was already superoptimized; otherwise the returned program
-/// has `pre_superopt() == base` and `superopt_stats()` describing the
-/// search. Counters: superopt.programs / .optimized / .unchanged /
-/// .witness_rejects; an active QueryTrace gets a one-line note either way.
-std::shared_ptr<const Program> Superoptimize(
-    std::shared_ptr<const Program> base, const SuperoptOptions& options = {});
-
-/// Structural witness check over a finished (register-allocated) program:
-/// operand registers in range, per-op operand presence, star bodies
-/// form properly nested non-overlapping ranges, and every instruction is
-/// reachable exactly once from the main sequence. The superoptimizer runs
-/// this on its output before publishing; tests run it directly.
-bool VerifyProgram(const Program& program, std::string* error = nullptr);
-
-/// Per-instruction cost estimates (OpWeight × execution count), aligned
-/// with `program.code()`. Uses `options.observed_execs` when it matches,
-/// else the static star estimate — the same model the beam scores with;
-/// EXPLAIN renders before/after deltas from it.
-std::vector<double> EstimateInstrCosts(const Program& program,
-                                       const SuperoptOptions& options = {});
-
-/// Engine cost weight of one executed instruction, in "full-bitset
-/// passes" (e.g. kAnd = copy + and = 2; fused kAndNot = 1; kAxis and
-/// kWithin carry surcharges for their non-word-parallel work).
-double OpWeight(Op op);
+/// Returns `program` unchanged. `Program::Compile` applies every rewrite
+/// itself, and nothing in the library calls this. It is kept only because
+/// the repository benchmark's `plan.superopt_us` probe
+/// (perfbench/probes.cc) includes this header and calls it, and that
+/// directory is changed only together with the benchmark itself; the next
+/// change to the benchmark retires this function together with that probe.
+inline std::shared_ptr<const Program> Superoptimize(
+    std::shared_ptr<const Program> program) {
+  return program;
+}
 
 }  // namespace exec
 }  // namespace xptc

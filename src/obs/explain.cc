@@ -8,7 +8,6 @@
 
 #include "exec/engine.h"
 #include "exec/program.h"
-#include "exec/superopt.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tree/generate.h"
@@ -92,9 +91,6 @@ bool TraceMatchesRegistry(const TraceNode& root, const Snapshot& delta,
       {"plan_cache.program_hits", nullptr,
        "plan_cache: program hit (canonical root)"},
       {"plan_cache.program_misses", nullptr, "plan_cache: program miss, lowered"},
-      {"superopt.optimized", nullptr, "superopt: program rewritten"},
-      {"superopt.unchanged", nullptr, "superopt: no improving rewrite"},
-      {"plan_cache.profile_reopt", nullptr, "plan_cache: profile reopt"},
   };
   bool ok = true;
   for (const Pair& pair : kPairs) {
@@ -165,14 +161,6 @@ std::string DeterministicDeltaJson(const Snapshot& delta) {
   }
   out.push_back('}');
   return out;
-}
-
-/// Streams a cost as `operator<<` would (the static model is
-/// integer-valued, so "5" not "5.000000") — deterministic for goldens.
-std::string FmtCost(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 void AppendJsonEscaped(std::string* out, const std::string& s) {
@@ -272,22 +260,7 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     r.append(DialectToString(query.source_dialect()));
     r.append("\"},\n  \"dispatch\": \"");
     r.append(dispatch);
-    r.append("\",\n  \"superopt\": ");
-    if (program.pre_superopt() != nullptr) {
-      const exec::SuperoptStats& so = program.superopt_stats();
-      r.append("{\"rounds\": " + std::to_string(so.rounds) +
-               ", \"candidates\": " + std::to_string(so.candidates) +
-               ", \"fused\": " + std::to_string(so.fused) +
-               ", \"merged\": " + std::to_string(so.merged) +
-               ", \"hoisted\": " + std::to_string(so.hoisted) +
-               ", \"sunk\": " + std::to_string(so.sunk) +
-               ", \"dropped\": " + std::to_string(so.dropped) +
-               ", \"cost_before\": " + FmtCost(so.cost_before) +
-               ", \"cost_after\": " + FmtCost(so.cost_after) + "}");
-    } else {
-      r.append("null");
-    }
-    r.append(",\n  \"star_rounds_used\": ");
+    r.append("\",\n  \"star_rounds_used\": ");
     r.append(std::to_string(run.star_rounds_used));
     r.append(",\n  \"star_round_budget\": ");
     r.append(std::to_string(run.star_round_budget));
@@ -320,41 +293,13 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
      << ", downward=" << (stats.downward ? "yes" : "no");
   if (stats.downward) os << " (bit_ops=" << stats.bit_ops << ")";
   os << "\n";
-  const bool superoptimized = program.pre_superopt() != nullptr;
-  const std::vector<double> after_costs =
-      superoptimized ? exec::EstimateInstrCosts(program)
-                     : std::vector<double>();
   for (size_t i = 0; i < program.code().size(); ++i) {
     os << "  " << i << ": "
        << program.InstrToString(static_cast<int>(i), alphabet);
     if (i < run.instr_execs.size()) {
       os << "   [execs " << run.instr_execs[i] << "]";
     }
-    if (i < after_costs.size()) os << " [est " << FmtCost(after_costs[i]) << "]";
     os << "\n";
-  }
-  if (superoptimized) {
-    // Before/after bytecode diff: the listing above is the rewritten
-    // program; here is the pre-superopt form with the same per-instruction
-    // cost model, so the deltas the beam acted on are visible side by side.
-    const exec::SuperoptStats& so = program.superopt_stats();
-    const exec::Program& before = *program.pre_superopt();
-    const std::vector<double> before_costs = exec::EstimateInstrCosts(before);
-    os << "superopt: rewritten in " << so.rounds << " rounds ("
-       << so.candidates << " candidates scored): fused=" << so.fused
-       << " merged=" << so.merged << " hoisted=" << so.hoisted
-       << " sunk=" << so.sunk << " dropped=" << so.dropped << ", est cost "
-       << FmtCost(so.cost_before) << " -> " << FmtCost(so.cost_after) << "\n";
-    os << "  before superopt: " << before.code().size() << " instrs, "
-       << before.num_regs() << " regs\n";
-    for (size_t i = 0; i < before.code().size(); ++i) {
-      os << "    " << i << ": "
-         << before.InstrToString(static_cast<int>(i), alphabet);
-      if (i < before_costs.size()) {
-        os << "   [est " << FmtCost(before_costs[i]) << "]";
-      }
-      os << "\n";
-    }
   }
   os << "\n";
   os << "dispatch: " << dispatch << "\n";

@@ -277,7 +277,7 @@ ServiceResponse QueryService::HandleQuery(const ServiceRequest& req,
     // out across the batch pool instead of running sequentially on this
     // worker, and share its per-tree engines/caches with /batch traffic.
     // Bit-for-bit identical to the per-tree loop below (server_test pins
-    // this); profile feedback is skipped here, as on the /batch path.
+    // this).
     // A traced request hands the engine a per-worker span sink, so the
     // merged RequestTrace accounts for every fan-out task exactly once.
     obs::RequestTrace* trace = obs::CurrentRequestTrace();
@@ -300,9 +300,8 @@ ServiceResponse QueryService::HandleQuery(const ServiceRequest& req,
     }
     return resp;
   }
-  // Single-tree fast path: inline on this worker's own engine — no pool
-  // hop — and the only path that feeds execution profiles back (warm plans
-  // get a profile-fed re-superoptimization on a later hit, plan_cache.h).
+  // Single-tree fast path: inline on this worker's own engine, with no
+  // pool hop.
   for (size_t i = 0; i < tree_ids.size(); ++i) {
     const int t = tree_ids[i];
     exec::ExecEngine* engine = EngineFor(worker, t);
@@ -324,12 +323,6 @@ ServiceResponse QueryService::HandleQuery(const ServiceRequest& req,
       Metrics().deadline_exceeded.Inc();
       return ErrorResponse(req, RespCode::kDeadlineExceeded,
                            "deadline expired during execution");
-    }
-    // Feed the profile back: warm plans get a profile-fed
-    // re-superoptimization on a later hit (plan_cache.h).
-    if (!engine->last_run().instr_execs.empty()) {
-      plan_cache_.RecordExecution(&alphabet_, *compiled,
-                                  engine->last_run().instr_execs);
     }
     FillResult(bits, req.mode, t, &resp.results[i]);
   }

@@ -43,9 +43,10 @@ struct ServiceOptions {
 /// no two concurrent calls share a `worker` id — the contract a worker
 /// pool satisfies by construction. The single shared `Alphabet` is not
 /// thread-safe; every parse is serialised on one mutex (cache hits do not
-/// touch the alphabet's intern table mutably, but `PlanCache::Parse` has
-/// no such guarantee, so the lock covers the whole call — misses compile
-/// once per text and hits are one hash lookup, so the section is short).
+/// touch the alphabet's intern table mutably, but a miss interns labels
+/// while other requests may be reading names, so the lock covers the
+/// whole call — misses compile once per text and hits are one hash
+/// lookup, so the section is short).
 class QueryService {
  public:
   explicit QueryService(ServiceOptions options = ServiceOptions{});

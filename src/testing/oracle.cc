@@ -9,7 +9,6 @@
 #include "compile/to_dfta.h"
 #include "exec/engine.h"
 #include "exec/program.h"
-#include "exec/superopt.h"
 #include "logic/fo_eval.h"
 #include "logic/xpath_to_fo.h"
 #include "obs/trace.h"
@@ -295,25 +294,6 @@ class ExecOracle : public Oracle {
   }
 };
 
-/// The superoptimized compiled backend: the same lowering as `exec`, but
-/// run through the beam-search bytecode superoptimizer first (see
-/// exec/superopt.h) and evaluated on the general register machine. Fuzzing
-/// this against `exec` (and the rest of the registry) is the dynamic leg
-/// of the superoptimizer's equivalence argument: the structural witness
-/// check guards each rewrite, this oracle guards the composition.
-class SuperoptExecOracle : public Oracle {
- public:
-  SuperoptExecOracle()
-      : Oracle({.name = "sexec", .total_on = Dialect::kRegularXPathW}) {}
-
-  Result<SelectedSet> Run(const Tree& tree, const NodePtr& query) override {
-    std::shared_ptr<const exec::Program> program =
-        exec::Superoptimize(exec::Program::Compile(query));
-    exec::ExecEngine engine(tree);
-    return engine.EvalGeneral(*program);
-  }
-};
-
 /// The one-pass downward engine: a single bottom-up sweep over the
 /// preorder arrays evaluating the compiled bit program.
 class DownwardExecOracle : public Oracle {
@@ -503,7 +483,6 @@ std::unique_ptr<OracleRegistry> MakeDefaultRegistry(
     registry->Register(std::make_unique<BatchOracle>());
   }
   registry->Register(std::make_unique<ExecOracle>());
-  registry->Register(std::make_unique<SuperoptExecOracle>());
   registry->Register(std::make_unique<DownwardExecOracle>());
   if (options.include_heavy) {
     registry->Register(std::make_unique<FOOracle>(options));

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "exec/superopt.h"
 #include "obs/trace.h"
 #include "xpath/parser.h"
 #include "xpath/rewrite.h"
@@ -31,35 +30,6 @@ inline size_t HashCombine(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }
 
-/// Mean observed star rounds of `program` under `observed` (per-instruction
-/// execution counts aligned with its code): each round runs the loop body
-/// once, so rounds ≈ body-head execs / star execs, averaged over the stars
-/// that actually ran. Falls back to the static default when the program has
-/// no stars or none executed — the estimate then never matters (no star
-/// bodies to weight).
-double MeasuredStarRounds(const exec::Program& program,
-                          const std::vector<int64_t>& observed) {
-  double total = 0;
-  int stars = 0;
-  const std::vector<exec::Instr>& code = program.code();
-  for (size_t i = 0; i < code.size(); ++i) {
-    const exec::Instr& ins = code[i];
-    if (ins.op != exec::Op::kStar || observed[i] <= 0) continue;
-    if (ins.body_begin >= ins.body_end) continue;
-    total += static_cast<double>(observed[ins.body_begin]) /
-             static_cast<double>(observed[i]);
-    ++stars;
-  }
-  return stars > 0 ? total / stars : exec::SuperoptOptions{}.star_round_estimate;
-}
-
-double TotalCost(const exec::Program& program,
-                 const exec::SuperoptOptions& options) {
-  double total = 0;
-  for (double c : exec::EstimateInstrCosts(program, options)) total += c;
-  return total;
-}
-
 }  // namespace
 
 size_t PlanCache::KeyHash::operator()(const Key& key) const {
@@ -78,9 +48,7 @@ PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {
     snap->AddCounter("plan_cache.evictions", evictions_.value());
     snap->AddCounter("plan_cache.program_hits", program_hits_.value());
     snap->AddCounter("plan_cache.program_misses", program_misses_.value());
-    snap->AddCounter("plan_cache.profile_reopt", profile_reopts_.value());
     snap->AddCounter("plan_cache.lowering_ns", lowering_ns_.value());
-    snap->AddCounter("plan_cache.superopt_ns", superopt_ns_.value());
   });
 }
 
@@ -96,9 +64,7 @@ PlanCache::Stats PlanCache::stats() const {
   stats.evictions = static_cast<size_t>(evictions_.value());
   stats.program_hits = static_cast<size_t>(program_hits_.value());
   stats.program_misses = static_cast<size_t>(program_misses_.value());
-  stats.profile_reopts = static_cast<size_t>(profile_reopts_.value());
   stats.lowering_seconds = static_cast<double>(lowering_ns_.value()) * 1e-9;
-  stats.superopt_seconds = static_cast<double>(superopt_ns_.value()) * 1e-9;
   return stats;
 }
 
@@ -154,36 +120,6 @@ void PlanCache::AttachProgramLocked(
   if (it != index_.end()) it->second->program = std::move(program);
 }
 
-PlanCache::ProgramSlot* PlanCache::SlotLocked(const Alphabet* alphabet,
-                                              const NodeExpr* root) {
-  auto per_alphabet = programs_.find(alphabet);
-  if (per_alphabet == programs_.end()) return nullptr;
-  auto it = per_alphabet->second.find(root);
-  return it == per_alphabet->second.end() ? nullptr : &it->second;
-}
-
-void PlanCache::RecordExecution(const Alphabet* alphabet,
-                                const CompiledQuery& compiled,
-                                const std::vector<int64_t>& instr_execs) {
-  if (compiled.query == nullptr || compiled.program == nullptr) return;
-  if (instr_execs.size() != compiled.program->code().size()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ProgramSlot* slot = SlotLocked(alphabet, compiled.query->plan().get());
-  if (slot == nullptr) return;
-  // Profiles are only meaningful against the live cached program: counts
-  // for a stale CompiledQuery held across a reopt (or an eviction plus
-  // recompile) would misalign instruction for instruction, so drop them.
-  if (slot->program.lock() != compiled.program) return;
-  if (slot->observed_execs.size() != instr_execs.size()) {
-    slot->observed_execs.assign(instr_execs.size(), 0);
-    slot->profiled_runs = 0;
-  }
-  for (size_t i = 0; i < instr_execs.size(); ++i) {
-    slot->observed_execs[i] += instr_execs[i];
-  }
-  ++slot->profiled_runs;
-}
-
 Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
                                                       Alphabet* alphabet,
                                                       bool optimize) {
@@ -198,10 +134,15 @@ Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
       return it->second->query;
     }
   }
-  // Parse outside the lock (the expensive part); the insert below re-checks
-  // the index so a racing parse of the same text cannot create a duplicate
-  // LRU entry (which would later make eviction erase the live index slot).
-  XPTC_ASSIGN_OR_RETURN(NodePtr parsed, ParseNode(key.text, alphabet));
+  // Parse outside the cache lock (the expensive part); the insert below
+  // re-checks the index so a racing parse of the same text cannot create a
+  // duplicate LRU entry (which would later make eviction erase the live
+  // index slot). Parsing interns labels, so parses hold parse_mu_.
+  NodePtr parsed;
+  {
+    std::lock_guard<std::mutex> lock(parse_mu_);
+    XPTC_ASSIGN_OR_RETURN(parsed, ParseNode(key.text, alphabet));
+  }
   NodePtr optimized = optimize ? SimplifyNode(parsed) : parsed;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -224,95 +165,34 @@ Result<std::shared_ptr<const Query>> PlanCache::Parse(const std::string& text,
   return query;
 }
 
-void PlanCache::ReoptimizeWarm(const Key& key, const Alphabet* alphabet,
-                               const NodeExpr* root,
-                               const std::vector<int64_t>& observed,
-                               CompiledQuery* out) {
-  const std::shared_ptr<const exec::Program> cached = out->program;
-  exec::SuperoptOptions options;
-  options.observed_execs = &observed;  // aligns when cached is un-rewritten
-  options.star_round_estimate = MeasuredStarRounds(*cached, observed);
-  // A statically rewritten program's profile aligns with *its* code, not
-  // with the deterministic re-lowering the superoptimizer starts from — so
-  // the search restarts from the pre-superopt original, guided by the
-  // measured star rounds (the observed counts then size-mismatch inside
-  // Superoptimize and fall back to that estimate).
-  const std::shared_ptr<const exec::Program>& base =
-      cached->pre_superopt() != nullptr ? cached->pre_superopt() : cached;
-  const int64_t start_ns = obs::NowNs();
-  std::shared_ptr<const exec::Program> candidate =
-      exec::Superoptimize(base, options);
-  superopt_ns_.Add(obs::NowNs() - start_ns);
-  if (candidate == cached) return;
-  // Accept only on a modeled-cost win under the measured star rounds,
-  // scored by the same static model on both sides (the observed counts
-  // cannot score the candidate: its code differs).
-  exec::SuperoptOptions scoring;
-  scoring.star_round_estimate = options.star_round_estimate;
-  if (TotalCost(*candidate, scoring) >= TotalCost(*cached, scoring)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ProgramSlot* slot = SlotLocked(alphabet, root);
-  // Replace only while the slot still holds the program the profile was
-  // recorded against (a racing purge/evict/recompile just wins).
-  if (slot == nullptr || slot->program.lock() != cached) return;
-  slot->program = candidate;
-  slot->observed_execs.clear();
-  slot->profiled_runs = 0;
-  slot->reopt_attempted = false;  // the new generation may warm up again
-  profile_reopts_.Inc();
-  obs::TraceNote("plan_cache: profile reopt");
-  AttachProgramLocked(key, candidate);
-  out->program = std::move(candidate);
-}
-
 Result<PlanCache::CompiledQuery> PlanCache::ParseCompiled(
     const std::string& text, Alphabet* alphabet, bool optimize) {
   CompiledQuery out;
   XPTC_ASSIGN_OR_RETURN(out.query, Parse(text, alphabet, optimize));
   const Key key{alphabet, optimize, /*is_path=*/false, NormaliseText(text)};
   const NodeExpr* root = out.query->plan().get();
-  std::vector<int64_t> observed;  // non-empty → warm hit, reopt below
   {
     std::lock_guard<std::mutex> lock(mu_);
     out.program = ProgramHitLocked(alphabet, root);
     if (out.program != nullptr) {
       obs::TraceNote("plan_cache: program hit (canonical root)");
       AttachProgramLocked(key, out.program);
-      // Warm hit: snapshot the accumulated profile for a one-time
-      // re-superoptimization (performed below, outside the lock).
-      ProgramSlot* slot = SlotLocked(alphabet, root);
-      if (slot != nullptr && !slot->reopt_attempted &&
-          slot->profiled_runs >= kWarmProfiledRuns &&
-          slot->observed_execs.size() == out.program->code().size()) {
-        slot->reopt_attempted = true;
-        observed = slot->observed_execs;
-      }
-      if (observed.empty()) return out;
+      return out;
     }
   }
-  if (out.program != nullptr) {
-    ReoptimizeWarm(key, alphabet, root, observed, &out);
-    return out;
-  }
-  // Lower and superoptimize outside the lock (the expensive part), then
-  // re-check: when two threads race to compile the same root, the first
-  // insert wins and the loser's redundant (but equivalent) program is
-  // discarded. Superoptimizing here means the rewrite is paid once per
-  // canonical root and amortized over every later program hit.
+  // Lower outside the lock (the expensive part), then re-check: when two
+  // threads race to compile the same root, the first insert wins and the
+  // loser's redundant (but equivalent) program is discarded.
   const int64_t lower_start_ns = obs::NowNs();
   std::shared_ptr<const exec::Program> program =
       exec::Program::Compile(out.query->plan());
   const int64_t lower_ns = obs::NowNs() - lower_start_ns;
-  const int64_t superopt_start_ns = obs::NowNs();
-  program = exec::Superoptimize(std::move(program));
-  const int64_t superopt_ns = obs::NowNs() - superopt_start_ns;
 
   std::lock_guard<std::mutex> lock(mu_);
   out.program = ProgramHitLocked(alphabet, root);
   if (out.program == nullptr) {
     program_misses_.Inc();
     lowering_ns_.Add(lower_ns);
-    superopt_ns_.Add(superopt_ns);
     obs::TraceNote("plan_cache: program miss, lowered");
     ProgramMap& per_alphabet = programs_[alphabet];
     // Lazy sweep once the index outgrows the cache capacity: expired slots
@@ -347,8 +227,12 @@ Result<std::shared_ptr<const PathQuery>> PlanCache::ParsePath(
       return it->second->path_query;
     }
   }
-  // Qualified: the unqualified name resolves to this member function.
-  XPTC_ASSIGN_OR_RETURN(PathPtr parsed, ::xptc::ParsePath(key.text, alphabet));
+  PathPtr parsed;
+  {
+    // Qualified: the unqualified name resolves to this member function.
+    std::lock_guard<std::mutex> lock(parse_mu_);
+    XPTC_ASSIGN_OR_RETURN(parsed, ::xptc::ParsePath(key.text, alphabet));
+  }
   PathPtr optimized = optimize ? SimplifyPath(parsed) : parsed;
 
   std::lock_guard<std::mutex> lock(mu_);

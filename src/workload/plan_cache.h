@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/alphabet.h"
 #include "common/result.h"
@@ -38,6 +37,11 @@ namespace xptc {
 ///
 /// Parse *errors* are not cached; they return through `Result` as usual.
 ///
+/// Parsing interns labels into the `Alphabet`, which is not thread-safe,
+/// so the cache runs its parses (misses only) one at a time. Code outside
+/// the cache that interns into the same alphabet concurrently must still
+/// synchronise with it.
+///
 /// Lifetime: entries are keyed on the `Alphabet*` address, so every alphabet
 /// passed to `Parse`/`ParsePath` must outlive the cache — or be withdrawn
 /// with `Purge(alphabet)` *before* it is destroyed. Without the purge, a new
@@ -59,10 +63,7 @@ class PlanCache {
     // program hit even though it was a text miss.
     size_t program_hits = 0;
     size_t program_misses = 0;   // == number of lowering runs
-    size_t profile_reopts = 0;   // warm plans re-cached with a profile-fed
-                                 // superoptimization (see RecordExecution)
     double lowering_seconds = 0; // total wall time inside Program::Compile
-    double superopt_seconds = 0; // total wall time inside Superoptimize
   };
 
   /// What `ParseCompiled` hands out: the cached plan plus its compiled
@@ -92,32 +93,12 @@ class PlanCache {
   /// `Parse` plus a compiled bytecode program for the plan (the compiled
   /// execution backend's entry point). Programs are cached keyed by the
   /// canonical (hash-consed) plan root, so texts that simplify to the same
-  /// plan compile once; lowering and the beam-search superoptimizer (see
-  /// exec/superopt.h) run outside the cache lock, and the cached program is
-  /// the superoptimized one — every later hit reuses the rewrite. The
+  /// plan compile once; lowering runs outside the cache lock. The
   /// strong program reference rides on the LRU entry: eviction releases
   /// it, but handed-out `CompiledQuery`s keep theirs alive (shared_ptr).
   Result<CompiledQuery> ParseCompiled(const std::string& text,
                                       Alphabet* alphabet,
                                       bool optimize = true);
-
-  /// A plan counts as warm — eligible for one profile-fed
-  /// re-superoptimization — after this many recorded executions.
-  static constexpr int kWarmProfiledRuns = 2;
-
-  /// Feeds one execution's per-instruction counts (`RunInfo::instr_execs`
-  /// from the engine that ran `compiled.program`) back into the cache.
-  /// Counts accumulate per canonical plan root; once a root is warm
-  /// (`kWarmProfiledRuns` recorded runs), the next `ParseCompiled` hit for
-  /// it re-runs the superoptimizer with `options.observed_execs` — the
-  /// measured profile instead of the static star-round guess — and
-  /// re-caches the result when its modeled cost improves, bumping
-  /// `plan_cache.profile_reopt` and noting the active trace. Profiles
-  /// against a stale program (recorded across a reopt or an
-  /// eviction+recompile) are dropped; each root reoptimizes at most once
-  /// per cached program generation. Thread-safe.
-  void RecordExecution(const Alphabet* alphabet, const CompiledQuery& compiled,
-                       const std::vector<int64_t>& instr_execs);
 
   /// Drops every cached plan and the interner belonging to `alphabet`.
   /// Call before destroying an alphabet the cache has seen (see class
@@ -164,11 +145,6 @@ class PlanCache {
   struct ProgramSlot {
     NodePtr plan;
     std::weak_ptr<const exec::Program> program;
-    // Accumulated RecordExecution profile, index-aligned with the live
-    // program's code; reset whenever the cached program changes.
-    std::vector<int64_t> observed_execs;
-    int profiled_runs = 0;
-    bool reopt_attempted = false;  // one profile reopt per program generation
   };
   using ProgramMap = std::unordered_map<const NodeExpr*, ProgramSlot>;
 
@@ -180,22 +156,13 @@ class PlanCache {
   /// Looks up a live program for `root` under mu_; also records a hit.
   std::shared_ptr<const exec::Program> ProgramHitLocked(
       const Alphabet* alphabet, const NodeExpr* root);
-  /// The program slot for `root`, or nullptr. Caller holds mu_.
-  ProgramSlot* SlotLocked(const Alphabet* alphabet, const NodeExpr* root);
-  /// Re-runs the superoptimizer on a warm program under its recorded
-  /// profile (`observed` — a snapshot taken under mu_), re-caching and
-  /// rewriting `out->program` on a modeled-cost win. Takes mu_ itself;
-  /// call unlocked. See RecordExecution.
-  void ReoptimizeWarm(const Key& key, const Alphabet* alphabet,
-                      const NodeExpr* root,
-                      const std::vector<int64_t>& observed,
-                      CompiledQuery* out);
   /// Attaches `program` to the LRU entry for `key`, if resident.
   void AttachProgramLocked(const Key& key,
                            std::shared_ptr<const exec::Program> program);
 
   const size_t capacity_;
   mutable std::mutex mu_;
+  std::mutex parse_mu_;  // held across every parse: they intern labels
   LruList lru_;  // front = most recently used
   std::unordered_map<Key, LruList::iterator, KeyHash> index_;
   // One interner per alphabet: symbols from different alphabets must never
@@ -214,9 +181,7 @@ class PlanCache {
   obs::Counter evictions_;
   obs::Counter program_hits_;
   obs::Counter program_misses_;
-  obs::Counter profile_reopts_;
   obs::Counter lowering_ns_;
-  obs::Counter superopt_ns_;
   obs::Registry::CollectorHandle collector_;
 };
 

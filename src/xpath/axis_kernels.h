@@ -133,8 +133,8 @@ struct Calibration {
 Calibration CalibrateCrossover(const Tree& tree);
 
 /// Global toggle for collapsing `(axis)*` star loops into one-pass closure
-/// kernels (lowering, the superoptimizer move, and the interpreter star
-/// fast paths all consult it). Default on; exp16 turns it off to measure
+/// kernels (lowering and the interpreter star fast paths both consult
+/// it). Default on; exp16 turns it off to measure
 /// the semi-naive fixpoint baseline. Same single-threaded-setup contract
 /// as `SetModeForTesting`.
 bool ClosureCollapseEnabled();

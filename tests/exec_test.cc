@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/program.h"
-#include "exec/superopt.h"
 #include "test_util.h"
 #include "tree/generate.h"
 #include "workload/batch.h"
@@ -132,22 +131,98 @@ TEST(ExecProgramTest, AllNodesTargetsFoldAway) {
   const std::string filtered = code("<child[a]> or <desc[leaf]>");
   EXPECT_EQ(filtered.find("= and"), std::string::npos) << filtered;
   EXPECT_EQ(filtered.find("= true"), std::string::npos) << filtered;
-  // Inside a star body the targets are the frontier, so the filter stays;
-  // its `leaf` predicate is hoisted to main and still folds.
+  // Inside a star body the targets are the frontier, so the filter stays
+  // (as `andnot`, since `leaf` is `not <child>`); its predicate is hoisted
+  // to main and still folds.
   const std::string star = code("<(child[leaf])*[a]>");
   EXPECT_NE(star.find("haschild"), std::string::npos) << star;
-  EXPECT_NE(star.find("= and"), std::string::npos) << star;
-  // A star seeded with all nodes still gets its `true` register.
-  const std::string seeded = code("<(child[<child>])*>");
-  EXPECT_NE(seeded.find("= true"), std::string::npos) << seeded;
+  EXPECT_NE(star.find("= andnot"), std::string::npos) << star;
+  // A star over all nodes is all nodes: no loop, no closure op.
+  for (const char* text : {"<(child[<child>])*>", "<(child)*>"}) {
+    const std::string seeded = code(text);
+    EXPECT_NE(seeded.find("program: 1 instrs"), std::string::npos) << seeded;
+    EXPECT_NE(seeded.find("= true"), std::string::npos) << seeded;
+  }
+}
+
+// Walks `program` in execution order (bodies at their kStar sites) and
+// counts kAnd/kOr instructions that read a register last written by kNot.
+int NotFedBinaries(const Program& program, int begin, int end,
+                   std::vector<exec::Op>* writer) {
+  int found = 0;
+  for (int i = begin; i < end; ++i) {
+    const exec::Instr& ins = program.code()[static_cast<size_t>(i)];
+    if (ins.op == exec::Op::kAnd || ins.op == exec::Op::kOr) {
+      for (const int reg : {ins.a, ins.b}) {
+        if ((*writer)[static_cast<size_t>(reg)] == exec::Op::kNot) ++found;
+      }
+    }
+    if (ins.op == exec::Op::kStar) {
+      (*writer)[static_cast<size_t>(ins.in)] = exec::Op::kStar;
+      found += NotFedBinaries(program, ins.body_begin, ins.body_end, writer);
+    }
+    (*writer)[static_cast<size_t>(ins.dst)] = ins.op;
+  }
+  return found;
+}
+
+TEST(ExecProgramTest, NegatedOperandsFuseIntoAndNotOrNot) {
+  // ∧/∨ with a negated operand on either side, and a filter [¬ψ] off the
+  // all-nodes target, lower to kAndNot/kOrNot reading ψ directly; the
+  // `not` survives only where some other reader needs it.
+  Alphabet alphabet;
+  const auto code = [&alphabet](const char* text) {
+    const std::string listing =
+        Program::Compile(N(text, &alphabet))->ToString(alphabet);
+    return listing.substr(0, listing.find("downward program"));
+  };
+  const struct {
+    const char* text;
+    int instrs;
+  } cases[] = {
+      {"<anc[a]> and not <child[b]>", 5},
+      {"<(child/child)*[c and leaf]>", 6},
+      {"<(child[not c]/child[not c])*[leaf]>", 8},
+      {"<(fsib/child)*[a and leaf]>", 6},
+      {"<desc[a and not <child[c]>]>", 5},
+      {"<child/child[b]> or <desc[c and leaf]>", 8},
+      {"not <anc/desc[a]> and <dos[b]>", 6},
+  };
+  for (const auto& c : cases) {
+    auto program = Program::Compile(SimplifyNode(N(c.text, &alphabet)));
+    EXPECT_EQ(static_cast<int>(program->code().size()), c.instrs)
+        << program->ToString(alphabet);
+    std::vector<exec::Op> writer(static_cast<size_t>(program->num_regs()),
+                                 exec::Op::kTrue);
+    EXPECT_EQ(NotFedBinaries(*program, 0, program->main_end(), &writer), 0)
+        << program->ToString(alphabet);
+  }
+  // Both operand orders, both connectives: one fused op and no `not`.
+  const struct {
+    const char* text;
+    const char* fused;
+  } sides[] = {{"a and not b", "= andnot"}, {"not b and a", "= andnot"},
+               {"a or not b", "= ornot"}, {"not b or a", "= ornot"}};
+  for (const auto& side : sides) {
+    const std::string listing = code(side.text);
+    EXPECT_EQ(listing.find("= not"), std::string::npos) << listing;
+    EXPECT_NE(listing.find(side.fused), std::string::npos) << listing;
+  }
+  // A `not` read by an axis step as well as by a fused `or` is kept once.
+  const std::string shared = code("<child[not a]> and (b or not a)");
+  EXPECT_NE(shared.find("= not"), std::string::npos) << shared;
+  EXPECT_EQ(shared.find("= not", shared.find("= not") + 1), std::string::npos)
+      << shared;
+  EXPECT_NE(shared.find("= ornot"), std::string::npos) << shared;
 }
 
 // ------------------------------------------------------------------ engine
 
 TEST(ExecEngineTest, AllNodesFoldsMatchInterpreterOnEveryShape) {
-  // The has-child column and the filter fold, outside and inside star
-  // bodies, on every generated shape down to the one-node tree, through
-  // the register machine both as lowered and as superoptimized.
+  // The has-child column, the filter and star folds, and and-not/or-not
+  // fusion, outside and inside star bodies, on every generated shape down
+  // to the one-node tree: each lowered program passes VerifyProgram and
+  // matches the interpreter through both register-machine entry points.
   Alphabet alphabet;
   const std::vector<Tree> trees = CorpusTrees(&alphabet, 3, 300, 83);
   const char* texts[] = {
@@ -168,21 +243,33 @@ TEST(ExecEngineTest, AllNodesFoldsMatchInterpreterOnEveryShape) {
       "<(child[not c]/child[not c])*[leaf]>",
       "<(fsib/child)*[a and leaf]>",
       "<(parent[<child>])*[b and leaf]>",
+      "<(child[<child>])*>",
+      "<child/(child)*>",
+      "<(child)* | desc[a]>",
+      "not a and <child[b]>",
+      "<child[b]> and not a",
+      "not a or <child[b]>",
+      "<child[b]> or not a",
+      "<child[not c]>",
+      "<child[not c]/desc[b]>",
+      "<(child[not c])*[a]>",
+      "not a and not b",
+      "not a or not b",
+      "<child[not a]> and (b or not a)",
   };
   for (const char* text : texts) {
     NodePtr query = N(text, &alphabet);
     auto program = Program::Compile(query);
-    auto optimized = exec::Superoptimize(program);
     std::string error;
-    ASSERT_TRUE(exec::VerifyProgram(*optimized, &error)) << text << ": "
-                                                         << error;
+    ASSERT_TRUE(exec::VerifyProgram(*program, &error)) << text << ": "
+                                                       << error;
     for (const Tree& tree : trees) {
       ExecEngine engine(tree);
       const Bitset reference = Interpret(tree, query);
       ASSERT_EQ(engine.EvalGeneral(*program), reference)
           << text << " n=" << tree.size();
-      ASSERT_EQ(engine.Eval(*optimized), reference)
-          << text << " (superoptimized) n=" << tree.size();
+      ASSERT_EQ(engine.Eval(*program), reference)
+          << text << " (dispatched) n=" << tree.size();
     }
   }
 }

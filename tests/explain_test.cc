@@ -43,13 +43,12 @@ trace:
 query
   plan_cache.parse_compiled instrs=2 regs=2 dag_hits=0 downward=1
     - plan_cache: text miss, parsed + interned
-    - superopt: no improving rewrite
     - plan_cache: program miss, lowered
   exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=72 instrs_executed=2 result_count=28
     - dispatch: register_machine
   interpreter.select axis.aos.sparse_path=1 axis.aos.touches=28 result_count=28
 
-registry delta (counters): {"axis.aos.sparse_path": 2, "exec.dispatch.register_machine": 1, "exec.evals": 1, "exec.instrs_executed": 2, "plan_cache.misses": 1, "plan_cache.program_misses": 1, "superopt.programs": 1, "superopt.unchanged": 1, "tree_cache.label_builds": 1}
+registry delta (counters): {"axis.aos.sparse_path": 2, "exec.dispatch.register_machine": 1, "exec.evals": 1, "exec.instrs_executed": 2, "plan_cache.misses": 1, "plan_cache.program_misses": 1, "tree_cache.label_builds": 1}
 consistent: true
 )";
 
@@ -82,38 +81,10 @@ TEST(ExplainTest, JsonModeCarriesTheSameMachineViews) {
   const std::string& r = explained->rendered;
   // The JSON rendering embeds exactly the machine views the struct exposes.
   EXPECT_NE(r.find("\"dispatch\": \"register_machine\""), std::string::npos);
-  EXPECT_NE(r.find("\"superopt\": null"), std::string::npos);
   EXPECT_NE(r.find("\"match\": true"), std::string::npos);
   EXPECT_NE(r.find("\"consistent\": true"), std::string::npos);
   EXPECT_NE(r.find(explained->registry_json), std::string::npos);
   EXPECT_NE(r.find(explained->trace_json), std::string::npos);
-}
-
-TEST(ExplainTest, SuperoptimizedProgramRendersBeforeAfterDiff) {
-  // `a and not b` lowers to label/label/not/and; the superoptimizer fuses
-  // that into a single andnot and drops the dead not. EXPLAIN must render
-  // the rewrite: the stats line, the pre-superopt listing, and the
-  // per-instruction cost column on both sides of the diff.
-  ExplainOptions options = GoldenOptions();
-  options.query = "a and not b";
-  auto explained = ExplainQuery(options);
-  ASSERT_TRUE(explained.ok()) << explained.status().message();
-  EXPECT_TRUE(explained->match);
-  EXPECT_TRUE(explained->consistent) << explained->rendered;
-  const std::string& r = explained->rendered;
-  EXPECT_NE(r.find("superopt: rewritten in"), std::string::npos) << r;
-  EXPECT_NE(r.find("before superopt:"), std::string::npos) << r;
-  EXPECT_NE(r.find("andnot"), std::string::npos) << r;
-  EXPECT_NE(r.find("[est "), std::string::npos) << r;
-  EXPECT_NE(r.find("- superopt: program rewritten"), std::string::npos) << r;
-
-  options.json = true;
-  auto json = ExplainQuery(options);
-  ASSERT_TRUE(json.ok()) << json.status().message();
-  EXPECT_TRUE(json->consistent);
-  EXPECT_NE(json->rendered.find("\"superopt\": {\"rounds\": "),
-            std::string::npos)
-      << json->rendered;
 }
 
 TEST(ExplainTest, StarHeavyQueryKeepsTraceAndRegistryConsistent) {

@@ -8,12 +8,6 @@
 #include <vector>
 
 #include "common/alphabet.h"
-#include "common/bitset.h"
-#include "common/rng.h"
-#include "exec/engine.h"
-#include "exec/program.h"
-#include "obs/trace.h"
-#include "tree/generate.h"
 #include "xpath/ast.h"
 #include "xpath/fragment.h"
 #include "xpath/intern.h"
@@ -207,160 +201,6 @@ TEST(PlanCacheTest, PurgeDropsAlphabetEntriesAndInterner) {
   EXPECT_NE(reparsed, nullptr);
   // The surviving alphabet still hits the very same plan object.
   EXPECT_EQ(cache.Parse("<child[a]>", &keep).ValueOrDie().get(), kept.get());
-}
-
-// Warms a compiled plan with real engine profiles and checks the profile
-// reopt machinery end to end: the reopt fires at most once per program
-// generation, any re-cached program is bit-for-bit equivalent, and the
-// stats/trace surfaces agree with what happened.
-TEST(PlanCacheTest, ProfileReoptPreservesResultsAndFiresAtMostOnce) {
-  Alphabet alphabet;
-  PlanCache cache;
-  // A starred plan on a deep chain: the measured star rounds (~tree depth)
-  // dwarf the static estimate, so the profile actually moves the model.
-  const std::string text = "W(<child[a]> and <desc[b]>)";
-  auto compiled = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  ASSERT_NE(compiled.program, nullptr);
-
-  Rng rng(11);
-  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 2);
-  TreeGenOptions options;
-  options.num_nodes = 600;
-  options.shape = TreeShape::kChain;
-  const Tree tree = GenerateTree(options, labels, &rng);
-
-  exec::ExecEngine engine(tree);
-  const Bitset baseline = engine.EvalGeneral(*compiled.program);
-  const std::vector<int64_t> execs = engine.last_run().instr_execs;
-  ASSERT_EQ(execs.size(), compiled.program->code().size());
-
-  for (int i = 0; i < PlanCache::kWarmProfiledRuns; ++i) {
-    cache.RecordExecution(&alphabet, compiled, execs);
-  }
-
-  // The next hit for the warm root runs the profile-fed superoptimizer.
-  obs::QueryTrace trace;
-  PlanCache::CompiledQuery after;
-  {
-    obs::QueryTrace::Scope scope(&trace);
-    after = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  }
-  ASSERT_NE(after.program, nullptr);
-  const size_t reopts = cache.stats().profile_reopts;
-  EXPECT_LE(reopts, 1u);
-  if (after.program != compiled.program) {
-    // A re-cached program must be counted, noted on the trace, and — the
-    // load-bearing property — observationally identical.
-    EXPECT_EQ(reopts, 1u);
-    bool noted = false;
-    for (const std::string& note : trace.root().notes) {
-      if (note == "plan_cache: profile reopt") noted = true;
-    }
-    EXPECT_TRUE(noted);
-  } else {
-    EXPECT_EQ(reopts, 0u);
-  }
-  EXPECT_EQ(engine.EvalGeneral(*after.program), baseline);
-
-  // At most one attempt per generation: re-warming the same (unchanged)
-  // program must not stack further reopts.
-  for (int i = 0; i < 2 * PlanCache::kWarmProfiledRuns; ++i) {
-    cache.RecordExecution(&alphabet, after, execs);
-  }
-  auto third = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  EXPECT_EQ(engine.EvalGeneral(*third.program), baseline);
-  EXPECT_LE(cache.stats().profile_reopts, reopts + 1);
-}
-
-// Deterministic firing: a path star whose fixpoint converges in zero
-// rounds on the measured tree (label `c` never occurs, so the star's
-// frontier starts empty). The static model prices the body at the default
-// round estimate and keeps the body-only `label a` mask in main; the
-// measured profile says the body never runs, so the profile-fed pass must
-// sink that mask into the body, win on modeled cost, and re-cache.
-TEST(PlanCacheTest, ProfileReoptFiresOnZeroRoundStar) {
-  Alphabet alphabet;
-  PlanCache cache;
-  const std::string text = "<(child[a]/desc)*[c]>";
-  auto compiled = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  ASSERT_NE(compiled.program, nullptr);
-
-  Rng rng(11);
-  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 2);  // a, b
-  TreeGenOptions options;
-  options.num_nodes = 400;
-  options.shape = TreeShape::kUniformRecursive;
-  const Tree tree = GenerateTree(options, labels, &rng);
-
-  exec::ExecEngine engine(tree);
-  const Bitset baseline = engine.EvalGeneral(*compiled.program);
-  const std::vector<int64_t> execs = engine.last_run().instr_execs;
-  ASSERT_EQ(execs.size(), compiled.program->code().size());
-  for (int i = 0; i < PlanCache::kWarmProfiledRuns; ++i) {
-    cache.RecordExecution(&alphabet, compiled, execs);
-  }
-
-  obs::QueryTrace trace;
-  PlanCache::CompiledQuery after;
-  {
-    obs::QueryTrace::Scope scope(&trace);
-    after = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  }
-  ASSERT_NE(after.program, nullptr);
-  EXPECT_EQ(cache.stats().profile_reopts, 1u);
-  EXPECT_NE(after.program.get(), compiled.program.get());
-  ASSERT_NE(after.program->pre_superopt(), nullptr);
-  EXPECT_GE(after.program->superopt_stats().sunk, 1);
-  bool noted = false;
-  for (const std::string& note : trace.root().notes) {
-    if (note == "plan_cache: profile reopt") noted = true;
-  }
-  EXPECT_TRUE(noted);
-  // The rewrite is invisible in results — on the profiled tree and on one
-  // where the star actually runs (label `c` present).
-  EXPECT_EQ(engine.EvalGeneral(*after.program), baseline);
-  Rng rng3(12);
-  const std::vector<Symbol> labels3 = DefaultLabels(&alphabet, 3);
-  TreeGenOptions options3;
-  options3.num_nodes = 400;
-  options3.shape = TreeShape::kUniformRecursive;
-  const Tree tree3 = GenerateTree(options3, labels3, &rng3);
-  exec::ExecEngine engine3(tree3);
-  EXPECT_EQ(engine3.EvalGeneral(*after.program),
-            engine3.EvalGeneral(*compiled.program));
-}
-
-TEST(PlanCacheTest, RecordExecutionDropsMismatchedAndForeignProfiles) {
-  Alphabet alphabet;
-  PlanCache cache;
-  const std::string text = "W(<child[a]>)";
-  auto compiled = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  ASSERT_NE(compiled.program, nullptr);
-
-  // Size-mismatched profiles must never warm the plan.
-  const std::vector<int64_t> wrong(compiled.program->code().size() + 3, 5);
-  for (int i = 0; i < 4 * PlanCache::kWarmProfiledRuns; ++i) {
-    cache.RecordExecution(&alphabet, compiled, wrong);
-  }
-  auto again = cache.ParseCompiled(text, &alphabet).ValueOrDie();
-  EXPECT_EQ(again.program.get(), compiled.program.get());
-  EXPECT_EQ(cache.stats().profile_reopts, 0u);
-
-  // A CompiledQuery minted by a different cache (different interner, so a
-  // different canonical root and program) must be ignored, not crash.
-  PlanCache other;
-  auto foreign = other.ParseCompiled(text, &alphabet).ValueOrDie();
-  const std::vector<int64_t> sized(foreign.program->code().size(), 5);
-  for (int i = 0; i < 4 * PlanCache::kWarmProfiledRuns; ++i) {
-    cache.RecordExecution(&alphabet, foreign, sized);
-  }
-  EXPECT_EQ(cache.stats().profile_reopts, 0u);
-
-  // Null-program records (e.g. a caller that only used Parse) are no-ops.
-  PlanCache::CompiledQuery bare;
-  bare.query = compiled.query;
-  cache.RecordExecution(&alphabet, bare, sized);
-  EXPECT_EQ(cache.stats().profile_reopts, 0u);
 }
 
 TEST(ExprInternerTest, InternsStructurallyEqualTrees) {
