@@ -304,10 +304,10 @@ std::vector<E2eCase> E2eReport(int n, bool* all_match) {
     Bitset sparse_bits(0), auto_bits(0);
     axis::SetModeForTesting(axis::Mode::kSparse);
     ec.sparse_seconds = bench::MedianSecondsN(
-        [&] { sparse_bits = engine.EvalGeneral(*program); }, inner);
+        [&] { sparse_bits = engine.Eval(*program); }, inner);
     axis::ResetModeForTesting();
     ec.auto_seconds = bench::MedianSecondsN(
-        [&] { auto_bits = engine.EvalGeneral(*program); }, inner);
+        [&] { auto_bits = engine.Eval(*program); }, inner);
     ec.match = sparse_bits == auto_bits;
     bench::PrintRow({ec.name, bench::Fmt(ec.sparse_seconds * 1e6, 1),
                      bench::Fmt(ec.auto_seconds * 1e6, 1),

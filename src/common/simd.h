@@ -9,7 +9,7 @@ namespace xptc {
 namespace simd {
 
 /// The word-kernel dispatch shim: every bulk boolean loop of the engine
-/// (bitset ranged ops, the downward sweep's child-aggregate OR) funnels
+/// (bitset ranged ops, axis-kernel gathers and sweeps) funnels
 /// through one table of kernels over raw `uint64_t` word spans, selected
 /// once at runtime.
 ///

@@ -1,7 +1,6 @@
 #include "exec/engine.h"
 
 #include <chrono>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -28,16 +27,9 @@ ExecEngine::~ExecEngine() = default;
 
 namespace {
 
-// Star-round budget for the hybrid dispatch: one register-machine star
-// round costs a few full-bitset word ops (O(n/64) each), one node of the
-// one-pass sweep costs ~bit_ops dependent dispatches — so past roughly
-// 8 rounds per bit op the sweep wins even counting the abandoned prefix.
-// Shallow trees and dense star seeds converge in far fewer rounds and
-// never hit the budget; only the adversarial deep-tree/sparse-seed regime
-// (where the register machine would go quadratic) falls back.
-int64_t StarRoundBudget(const Program& program) {
-  return 32 + 8 * static_cast<int64_t>(program.stats().bit_ops);
-}
+// Worklist pops of the reachability pass between two deadline probes:
+// a few tens of microseconds of work, against one clock read.
+constexpr int kDeadlineProbePops = 4096;
 
 // Process-wide execution counters, fetched once (registry lookups lock;
 // the hot path pays relaxed atomic adds, flushed once per Eval).
@@ -47,8 +39,6 @@ struct ExecMetrics {
   obs::Counter& star_rounds;
   obs::Counter& disp_register;
   obs::Counter& disp_fallback;
-  obs::Counter& disp_downward;
-  obs::Counter& disp_general;
   obs::Counter& deadline_expired;
   static ExecMetrics& Get() {
     obs::Registry& reg = obs::Registry::Default();
@@ -57,9 +47,7 @@ struct ExecMetrics {
         reg.counter("exec.instrs_executed"),
         reg.counter("exec.star_rounds"),
         reg.counter("exec.dispatch.register_machine"),
-        reg.counter("exec.dispatch.downward_fallback"),
-        reg.counter("exec.dispatch.downward_direct"),
-        reg.counter("exec.dispatch.general"),
+        reg.counter("exec.dispatch.reachability_pass"),
         reg.counter("exec.deadline_expired")};
     return *m;
   }
@@ -76,9 +64,7 @@ obs::Histogram& EvalFlame() {
 const char* ExecEngine::DispatchName(RunInfo::Dispatch dispatch) {
   switch (dispatch) {
     case RunInfo::Dispatch::kRegisterMachine: return "register_machine";
-    case RunInfo::Dispatch::kDownwardFallback: return "downward_fallback";
-    case RunInfo::Dispatch::kDownwardDirect: return "downward_direct";
-    case RunInfo::Dispatch::kGeneral: return "general";
+    case RunInfo::Dispatch::kDownwardFallback: return "reachability_pass";
   }
   return "unknown";
 }
@@ -97,16 +83,19 @@ bool ExecEngine::DeadlineExpired() const {
   return deadline_ns_ != 0 && SteadyNowNs() >= deadline_ns_;
 }
 
-void ExecEngine::BeginRun(const Program& program, RunInfo::Dispatch dispatch,
-                          int64_t budget) {
-  last_run_.dispatch = dispatch;
+void ExecEngine::BeginRun(const Program& program) {
+  last_run_.dispatch = RunInfo::Dispatch::kRegisterMachine;
   last_run_.star_rounds_used = 0;
-  last_run_.star_round_budget = budget;
   last_run_.instrs_executed = 0;
   last_run_.deadline_expired = false;
-  // assign() reuses capacity, so steady-state evals stay allocation-free
-  // once the vector has grown to the largest program seen.
-  last_run_.instr_execs.assign(program.code().size(), 0);
+  // Per-instruction counts feed only EXPLAIN, so untraced runs skip them.
+  // assign() reuses capacity, so traced evals stay allocation-free once
+  // the vector has grown to the largest program seen.
+  if (obs::QueryTrace::Current() != nullptr) {
+    last_run_.instr_execs.assign(program.code().size(), 0);
+  } else {
+    last_run_.instr_execs.clear();
+  }
 }
 
 void ExecEngine::FinishRun(const Bitset* result) {
@@ -128,12 +117,6 @@ void ExecEngine::FinishRun(const Bitset* result) {
     case RunInfo::Dispatch::kDownwardFallback:
       metrics.disp_fallback.Inc();
       break;
-    case RunInfo::Dispatch::kDownwardDirect:
-      metrics.disp_downward.Inc();
-      break;
-    case RunInfo::Dispatch::kGeneral:
-      metrics.disp_general.Inc();
-      break;
   }
   obs::TraceNode* cur = obs::QueryTrace::Current();
   if (cur == nullptr) return;
@@ -145,13 +128,12 @@ void ExecEngine::FinishRun(const Bitset* result) {
                          " star rounds; run abandoned");
   }
   if (last_run_.dispatch == RunInfo::Dispatch::kDownwardFallback) {
-    cur->notes.push_back(
-        "star-round budget blown at " +
-        std::to_string(last_run_.star_round_budget) +
-        " rounds; abandoned register machine, re-ran one-pass sweep");
+    cur->notes.push_back("a star reached its budget of " +
+                         std::to_string(kStarRoundBudget) +
+                         " rounds; the reachability pass finished it");
   }
   cur->SetAttr("star_rounds_used", last_run_.star_rounds_used);
-  cur->SetAttr("star_round_budget", last_run_.star_round_budget);
+  cur->SetAttr("star_round_budget", kStarRoundBudget);
   cur->SetAttr("instrs_executed", last_run_.instrs_executed);
   if (result != nullptr) cur->SetAttr("result_count", result->Count());
 }
@@ -159,40 +141,13 @@ void ExecEngine::FinishRun(const Bitset* result) {
 Bitset ExecEngine::Eval(const Program& program) {
   obs::TraceSpan span("exec.eval", &EvalFlame());
   ExecMetrics::Get().evals.Inc();
-  last_used_downward_ = false;
-  if (program.downward() == nullptr) {
-    BeginRun(program, RunInfo::Dispatch::kGeneral, 0);
-    if (DeadlineExpired()) return AbandonRun();
-    while (static_cast<int>(regs_.size()) < program.num_regs()) {
-      regs_.emplace_back(n_);
-    }
-    star_rounds_left_ = std::numeric_limits<int64_t>::max();
-    if (!RunRange(program, 0, program.main_end())) return AbandonRun();
-    Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
-    FinishRun(&result);
-    return result;
-  }
+  BeginRun(program);
+  if (DeadlineExpired()) return AbandonRun();
   while (static_cast<int>(regs_.size()) < program.num_regs()) {
     regs_.emplace_back(n_);
   }
-  const int64_t budget = StarRoundBudget(program);
-  BeginRun(program, RunInfo::Dispatch::kRegisterMachine, budget);
-  if (DeadlineExpired()) return AbandonRun();
-  star_rounds_left_ = budget;
-  if (RunRange(program, 0, program.main_end())) {
-    Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
-    FinishRun(&result);
-    return result;
-  }
-  // The deadline probe fired mid-run: the request is already late, so the
-  // fallback sweep would only add more late work. Abandon instead.
-  if (last_run_.deadline_expired) return AbandonRun();
-  // Budget blown: abandon the register machine (its partial instruction
-  // counts stay in last_run_ — the EXPLAIN dump shows the abandoned
-  // prefix) and re-run as the unconditionally-linear sweep.
-  last_run_.dispatch = RunInfo::Dispatch::kDownwardFallback;
-  last_used_downward_ = true;
-  Bitset result = program.downward()->Run(tree_, &agg_);
+  if (!RunRange(program, 0, program.main_end())) return AbandonRun();
+  Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
   FinishRun(&result);
   return result;
 }
@@ -201,36 +156,6 @@ Bitset ExecEngine::AbandonRun() {
   last_run_.deadline_expired = true;
   FinishRun(nullptr);
   return Bitset(n_);
-}
-
-Bitset ExecEngine::EvalDownward(const Program& program) {
-  XPTC_CHECK(program.downward() != nullptr)
-      << "program has no downward compilation";
-  obs::TraceSpan span("exec.eval", &EvalFlame());
-  ExecMetrics::Get().evals.Inc();
-  BeginRun(program, RunInfo::Dispatch::kDownwardDirect, 0);
-  last_run_.instr_execs.clear();
-  last_used_downward_ = true;
-  if (DeadlineExpired()) return AbandonRun();
-  Bitset result = program.downward()->Run(tree_, &agg_);
-  FinishRun(&result);
-  return result;
-}
-
-Bitset ExecEngine::EvalGeneral(const Program& program) {
-  obs::TraceSpan span("exec.eval", &EvalFlame());
-  ExecMetrics::Get().evals.Inc();
-  BeginRun(program, RunInfo::Dispatch::kGeneral, 0);
-  last_used_downward_ = false;
-  if (DeadlineExpired()) return AbandonRun();
-  while (static_cast<int>(regs_.size()) < program.num_regs()) {
-    regs_.emplace_back(n_);
-  }
-  star_rounds_left_ = std::numeric_limits<int64_t>::max();
-  if (!RunRange(program, 0, program.main_end())) return AbandonRun();
-  Bitset& result = regs_[static_cast<size_t>(program.result_reg())];
-  FinishRun(&result);
-  return result;
 }
 
 const Bitset& ExecEngine::LabelSet(Symbol label) {
@@ -255,7 +180,9 @@ bool ExecEngine::RunRange(const Program& program, int begin, int end) {
   for (int i = begin; i < end; ++i) {
     const Instr& ins = code[static_cast<size_t>(i)];
     ++last_run_.instrs_executed;
-    ++last_run_.instr_execs[static_cast<size_t>(i)];
+    if (!last_run_.instr_execs.empty()) {
+      ++last_run_.instr_execs[static_cast<size_t>(i)];
+    }
     Bitset& dst = regs_[static_cast<size_t>(ins.dst)];
     switch (ins.op) {
       case Op::kTrue:
@@ -316,52 +243,123 @@ bool ExecEngine::RunRange(const Program& program, int begin, int end) {
         }
         break;
       }
-      case Op::kStar: {
-        // Semi-naive closure: dst accumulates everything reached, the body
-        // maps the newly-reached frontier (`in`) one step to `out`, and
-        // only genuinely new nodes re-enter the loop. The allocator keeps
-        // dst/in/out in distinct registers and anything read inside the
-        // body live across the whole loop.
-        const Bitset& seed = regs_[static_cast<size_t>(ins.a)];
-        Bitset& frontier = regs_[static_cast<size_t>(ins.in)];
-        Bitset& step = regs_[static_cast<size_t>(ins.out)];
-        dst.CopyRange(seed, 0, n_);
-        frontier.CopyRange(seed, 0, n_);
-        while (frontier.Any()) {
-          ++last_run_.star_rounds_used;
-          if (--star_rounds_left_ < 0) return false;
-          // Deadline probe (see SetDeadline): star rounds are the only
-          // statically unbounded work in a run, so one clock read per
-          // round bounds enforcement lag to a single round's work.
-          if (DeadlineExpired()) {
-            last_run_.deadline_expired = true;
-            return false;
-          }
-          if (!RunRange(program, ins.body_begin, ins.body_end)) return false;
-          // Fixpoint probe: the final round always produces no new nodes,
-          // and this early-exit subset check detects that in one pass
-          // (stopping at the first new word) instead of the full
-          // subtract / or / copy / any sequence below.
-          if (step.IsSubsetOf(dst)) break;
-          step.Subtract(dst);
-          dst |= step;
-          frontier.CopyRange(step, 0, n_);
-        }
+      case Op::kStar:
+        if (!RunStar(program, ins)) return false;
         break;
-      }
       case Op::kWithin: {
         // W delegation runs a whole memoised interpreter pass; probe once
         // before paying for it.
-        if (DeadlineExpired()) {
-          last_run_.deadline_expired = true;
-          return false;
-        }
+        if (DeadlineExpired()) return false;
         if (w_scratch_ == nullptr) {
           w_scratch_ = std::make_unique<EvalScratch>(tree_, tree_cache_);
         }
         Evaluator ev(tree_, w_scratch_.get());
         dst = ev.EvalNode(*ins.within);
         break;
+      }
+    }
+  }
+  return true;
+}
+
+bool ExecEngine::RunStar(const Program& program, const Instr& ins) {
+  // Semi-naive closure: dst accumulates everything reached, the body maps
+  // the newly-reached frontier (`in`) one step to `out`, and only
+  // genuinely new nodes re-enter the loop. The allocator keeps dst/in/out
+  // in distinct registers and anything read inside the body (or by the
+  // body's NFA) live across the whole loop.
+  Bitset& dst = regs_[static_cast<size_t>(ins.dst)];
+  Bitset& frontier = regs_[static_cast<size_t>(ins.in)];
+  Bitset& step = regs_[static_cast<size_t>(ins.out)];
+  dst.CopyRange(regs_[static_cast<size_t>(ins.a)], 0, n_);
+  frontier.CopyRange(dst, 0, n_);
+  for (int64_t round = 0; frontier.Any(); ++round) {
+    // Past the budget, each further round is O(n/64) words that may add
+    // one node; the reachability pass finishes in O(|body| · n) instead.
+    if (round == kStarRoundBudget) return FinishStar(program, ins);
+    ++last_run_.star_rounds_used;
+    // Deadline probe (see SetDeadline): one clock read per round bounds
+    // enforcement lag to a single round's work.
+    if (DeadlineExpired()) return false;
+    if (!RunRange(program, ins.body_begin, ins.body_end)) return false;
+    // Fixpoint probe: the final round always produces no new nodes, and
+    // this early-exit subset check detects that in one pass (stopping at
+    // the first new word) instead of the subtract / or / copy below.
+    if (step.IsSubsetOf(dst)) break;
+    step.Subtract(dst);
+    dst |= step;
+    frontier.CopyRange(step, 0, n_);
+  }
+  return true;
+}
+
+bool ExecEngine::FinishStar(const Program& program, const Instr& ins) {
+  last_run_.dispatch = RunInfo::Dispatch::kDownwardFallback;
+  const StarNfa& nfa = program.star_nfas()[static_cast<size_t>(ins.nfa)];
+  // visited[q] holds the nodes seen at state q. State 0 is the loop state,
+  // whose nodes are exactly the closure, so its set is dst itself: every
+  // node of dst outside the frontier was expanded by an earlier round,
+  // and the frontier is pushed to expand now.
+  Bitset& dst = regs_[static_cast<size_t>(ins.dst)];
+  while (static_cast<int>(nfa_visited_.size()) < nfa.num_states() - 1) {
+    nfa_visited_.emplace_back(n_);
+  }
+  for (int q = 1; q < nfa.num_states(); ++q) {
+    nfa_visited_[static_cast<size_t>(q - 1)].ResetAll();
+  }
+  const auto visited = [&](int q) -> Bitset& {
+    return q == 0 ? dst : nfa_visited_[static_cast<size_t>(q - 1)];
+  };
+  worklist_.clear();
+  regs_[static_cast<size_t>(ins.in)].ForEachSetBit(
+      [this](int v) { worklist_.push_back(static_cast<uint64_t>(v)); });
+  const auto visit = [&](NodeId w, int q) {
+    Bitset& seen = visited(q);
+    if (seen.Get(w)) return;
+    seen.Set(w);
+    worklist_.push_back(static_cast<uint64_t>(q) << 32 |
+                        static_cast<uint32_t>(w));
+  };
+  for (int pops = 0; !worklist_.empty(); ++pops) {
+    if (pops == kDeadlineProbePops) {
+      if (DeadlineExpired()) return false;
+      pops = 0;
+    }
+    const uint64_t item = worklist_.back();
+    worklist_.pop_back();
+    const NodeId u = static_cast<NodeId>(item & 0xffffffffu);
+    const int q = static_cast<int>(item >> 32);
+    for (int e = nfa.first[static_cast<size_t>(q)];
+         e < nfa.first[static_cast<size_t>(q) + 1]; ++e) {
+      const StarNfa::Edge& edge = nfa.edges[static_cast<size_t>(e)];
+      switch (edge.kind) {
+        case StarNfa::Kind::kEpsilon:
+          visit(u, edge.to);
+          break;
+        case StarNfa::Kind::kGuard:
+          if (regs_[static_cast<size_t>(edge.reg)].Get(u) != edge.negated) {
+            visit(u, edge.to);
+          }
+          break;
+        case StarNfa::Kind::kMove: {
+          NodeId w = kNoNode;
+          switch (edge.axis) {
+            case Axis::kChild:
+              tree_.ForEachChild(u, [&](NodeId c) { visit(c, edge.to); });
+              break;
+            case Axis::kParent:
+              w = tree_.Parent(u);
+              break;
+            case Axis::kNextSibling:
+              w = tree_.NextSibling(u);
+              break;
+            default:  // kPrevSibling; VerifyProgram admits no other
+              w = tree_.PrevSibling(u);
+              break;
+          }
+          if (w != kNoNode) visit(w, edge.to);
+          break;
+        }
       }
     }
   }

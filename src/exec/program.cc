@@ -13,7 +13,6 @@
 
 #include "common/check.h"
 #include "xpath/axis_kernels.h"
-#include "xpath/fragment.h"
 #include "xpath/intern.h"
 
 namespace xptc {
@@ -32,6 +31,101 @@ Op ClosureOpFor(Axis closure) {
       return Op::kSibChain;
   }
 }
+
+// A StarNfa under construction: edges tagged with their source state.
+struct NfaDraft {
+  int num_states = 1;  // state 0: the star's loop state
+  std::vector<std::pair<int, StarNfa::Edge>> edges;
+
+  int AddState() { return num_states++; }
+
+  void Epsilon(int from, int to) {
+    StarNfa::Edge edge;
+    edge.to = to;
+    edges.emplace_back(from, edge);
+  }
+
+  void Move(int from, Axis unit, int to) {
+    StarNfa::Edge edge;
+    edge.kind = StarNfa::Kind::kMove;
+    edge.axis = unit;
+    edge.to = to;
+    edges.emplace_back(from, edge);
+  }
+
+  // `unit` repeated from `from` to `to`: at least once iff `plus`.
+  void Closure(int from, Axis unit, bool plus, int to) {
+    const int loop = AddState();
+    if (plus) {
+      Move(from, unit, loop);
+    } else {
+      Epsilon(from, loop);
+    }
+    Move(loop, unit, loop);
+    Epsilon(loop, to);
+  }
+
+  // The moves of one (already inverted) axis, each closure axis expanded
+  // to unit moves around a loop state, so a pass over n nodes makes
+  // O(states · n) moves in total.
+  void AxisMoves(Axis axis, int from, int to) {
+    switch (axis) {
+      case Axis::kSelf:
+        Epsilon(from, to);
+        break;
+      case Axis::kChild:
+      case Axis::kParent:
+      case Axis::kNextSibling:
+      case Axis::kPrevSibling:
+        Move(from, axis, to);
+        break;
+      case Axis::kDescendant:
+      case Axis::kDescendantOrSelf:
+        Closure(from, Axis::kChild, axis == Axis::kDescendant, to);
+        break;
+      case Axis::kAncestor:
+      case Axis::kAncestorOrSelf:
+        Closure(from, Axis::kParent, axis == Axis::kAncestor, to);
+        break;
+      case Axis::kFollowingSibling:
+        Closure(from, Axis::kNextSibling, true, to);
+        break;
+      case Axis::kPrecedingSibling:
+        Closure(from, Axis::kPrevSibling, true, to);
+        break;
+      case Axis::kFollowing:
+      case Axis::kPreceding: {
+        // foll = aos / fsib / dos, and prec = aos / psib / dos.
+        const int up = AddState();
+        const int over = AddState();
+        Closure(from, Axis::kParent, false, up);
+        Closure(up,
+                axis == Axis::kFollowing ? Axis::kNextSibling
+                                         : Axis::kPrevSibling,
+                true, over);
+        Closure(over, Axis::kChild, false, to);
+        break;
+      }
+    }
+  }
+
+  StarNfa Finish() && {
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+    StarNfa nfa;
+    nfa.first.assign(static_cast<size_t>(num_states) + 1, 0);
+    for (const auto& [from, edge] : edges) {
+      ++nfa.first[static_cast<size_t>(from) + 1];
+      nfa.edges.push_back(edge);
+    }
+    for (size_t q = 1; q < nfa.first.size(); ++q) {
+      nfa.first[q] += nfa.first[q - 1];
+    }
+    return nfa;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Lowering: NodeExpr DAG -> flat instruction sequences (SSA virtual regs).
@@ -60,6 +154,7 @@ class Lowerer {
     int result_vreg = -1;
     int num_vregs = 0;
     int dag_hits = 0;
+    std::vector<StarNfa> nfas;
   };
 
   Output Lower(const NodePtr& plan) {
@@ -68,6 +163,7 @@ class Lowerer {
     out.result_vreg = LowerNode(plan);
     out.num_vregs = DropDeadNots(&out.result_vreg);
     out.dag_hits = dag_hits_;
+    out.nfas = std::move(nfas_);
     // Linearize: main first, then loop bodies in creation order; rewrite
     // each kStar's body reference from sequence id to instruction range.
     std::vector<int> offset(seqs_.size(), 0);
@@ -139,6 +235,11 @@ class Lowerer {
         }
       }
     }
+    for (const StarNfa& nfa : nfas_) {
+      for (const StarNfa::Edge& edge : nfa.edges) {
+        if (edge.reg >= 0) ++reads[static_cast<size_t>(edge.reg)];
+      }
+    }
     std::vector<int> remap(static_cast<size_t>(num_vregs_), -1);
     for (LoopSeq& seq : seqs_) {
       std::erase_if(seq.instrs, [&reads](const Instr& ins) {
@@ -162,6 +263,9 @@ class Lowerer {
           apply(vreg);
         }
       }
+    }
+    for (StarNfa& nfa : nfas_) {
+      for (StarNfa::Edge& edge : nfa.edges) apply(&edge.reg);
     }
     apply(result);
     return next;
@@ -334,6 +438,10 @@ class Lowerer {
         ins.a = targets;
         ins.in = NewVreg();
         ins.out = LowerPathBack(path->left, ins.in, body);
+        ins.nfa = static_cast<int>(nfas_.size());
+        NfaDraft nfa;
+        AddNfaPath(*path->left, 0, 0, &nfa);
+        nfas_.push_back(std::move(nfa).Finish());
         ins.dst = NewVreg();
         ins.body_begin = body;  // sequence id; linearization rewrites
         Append(seq, ins);
@@ -345,7 +453,55 @@ class Lowerer {
     return reg;
   }
 
+  // Adds the transitions of `path` from state `from` to state `to`, so that
+  // (u, from) reaches (w, to) iff w ∈ back(path, {u}). Every sub-automaton
+  // gets fresh inner states and only its endpoints are shared, so a star
+  // may pass the same state as both (its loop state).
+  void AddNfaPath(const PathExpr& path, int from, int to, NfaDraft* nfa) {
+    switch (path.op) {
+      case PathOp::kAxis:
+        nfa->AxisMoves(InverseAxis(path.axis), from, to);
+        break;
+      case PathOp::kSeq: {
+        // back(p/q, T) = back(p, back(q, T)).
+        const int mid = nfa->AddState();
+        AddNfaPath(*path.right, from, mid, nfa);
+        AddNfaPath(*path.left, mid, to, nfa);
+        break;
+      }
+      case PathOp::kUnion:
+        AddNfaPath(*path.left, from, to, nfa);
+        AddNfaPath(*path.right, from, to, nfa);
+        break;
+      case PathOp::kFilter: {
+        // back(p[φ], T) = back(p, T ∩ φ). The body lowering has already
+        // hoisted φ into a main-sequence register; a negated φ is tested
+        // as the register its fused and-not reads.
+        StarNfa::Edge guard;
+        guard.kind = StarNfa::Kind::kGuard;
+        guard.to = nfa->AddState();
+        guard.reg = node_memo_.at(path.pred.get());
+        const auto negated = negation_of_.find(guard.reg);
+        if (negated != negation_of_.end()) {
+          guard.reg = negated->second;
+          guard.negated = true;
+        }
+        nfa->edges.emplace_back(from, guard);
+        AddNfaPath(*path.left, guard.to, to, nfa);
+        break;
+      }
+      case PathOp::kStar: {
+        const int loop = nfa->AddState();
+        nfa->Epsilon(from, loop);
+        AddNfaPath(*path.left, loop, loop, nfa);
+        nfa->Epsilon(loop, to);
+        break;
+      }
+    }
+  }
+
   std::vector<LoopSeq> seqs_;
+  std::vector<StarNfa> nfas_;
   std::unordered_map<const NodeExpr*, int> node_memo_;
   // kNot result vreg -> the vreg it negates, for EmitBinary's fusion.
   std::unordered_map<int, int> negation_of_;
@@ -369,8 +525,9 @@ class RegisterAllocator {
  public:
   // Rewrites vreg operands in `code` to physical registers; returns the
   // physical register count.
-  int Run(std::vector<Instr>* code, int main_end, int num_vregs,
-          int* result_reg, int result_vreg) {
+  int Run(std::vector<Instr>* code, std::vector<StarNfa>* nfas, int main_end,
+          int num_vregs, int* result_reg, int result_vreg) {
+    nfas_ = nfas;
     live_.resize(static_cast<size_t>(num_vregs));
     int pos = 0;
     WalkRange(*code, 0, main_end, &pos);
@@ -430,6 +587,9 @@ class RegisterAllocator {
       remap(&ins.in);
       remap(&ins.out);
     }
+    for (StarNfa& nfa : *nfas) {
+      for (StarNfa::Edge& edge : nfa.edges) remap(&edge.reg);
+    }
     *result_reg = assign[static_cast<size_t>(result_vreg)];
     return num_regs;
   }
@@ -469,6 +629,11 @@ class RegisterAllocator {
         Use(ins.out, exit);
         Use(ins.in, exit);
         Use(ins.dst, exit);
+        // The reachability pass that may finish the loop reads its guards.
+        for (const StarNfa::Edge& edge :
+             (*nfas_)[static_cast<size_t>(ins.nfa)].edges) {
+          Use(edge.reg, exit);
+        }
         loops_.emplace_back(entry, exit);
       } else {
         const int at = (*pos)++;
@@ -481,6 +646,7 @@ class RegisterAllocator {
 
   std::vector<Live> live_;
   std::vector<std::pair<int, int>> loops_;
+  const std::vector<StarNfa>* nfas_ = nullptr;
 };
 
 }  // namespace
@@ -496,24 +662,17 @@ std::shared_ptr<const Program> Program::Compile(const NodePtr& query) {
   Lowerer::Output lowered = Lowerer().Lower(program->plan_);
   program->code_ = std::move(lowered.code);
   program->main_end_ = lowered.main_end;
+  program->star_nfas_ = std::move(lowered.nfas);
   RegisterAllocator allocator;
-  program->num_regs_ =
-      allocator.Run(&program->code_, program->main_end_, lowered.num_vregs,
-                    &program->result_reg_, lowered.result_vreg);
+  program->num_regs_ = allocator.Run(
+      &program->code_, &program->star_nfas_, program->main_end_,
+      lowered.num_vregs, &program->result_reg_, lowered.result_vreg);
   CompileStats& stats = program->stats_;
   stats.ast_nodes = NodeSize(*query);
   stats.num_instrs = static_cast<int>(program->code_.size());
   stats.num_vregs = lowered.num_vregs;
   stats.num_regs = program->num_regs_;
   stats.dag_hits = lowered.dag_hits;
-  if (IsDownwardNode(*program->plan_)) {
-    if (auto downward = DownwardProgram::Compile(program->plan_)) {
-      program->downward_ =
-          std::make_unique<const DownwardProgram>(std::move(*downward));
-      stats.downward = true;
-      stats.bit_ops = static_cast<int>(program->downward_->code().size());
-    }
-  }
   return program;
 }
 
@@ -577,11 +736,64 @@ std::string Program::ToString(const Alphabet& alphabet) const {
     os << "  " << i << ": " << InstrToString(static_cast<int>(i), alphabet)
        << "\n";
   }
-  if (downward_) os << downward_->ToString(alphabet);
+  for (size_t k = 0; k < star_nfas_.size(); ++k) {
+    const StarNfa& nfa = star_nfas_[k];
+    os << "star nfa " << k << ": " << nfa.num_states() << " states\n";
+    for (int q = 0; q < nfa.num_states(); ++q) {
+      for (int e = nfa.first[static_cast<size_t>(q)];
+           e < nfa.first[static_cast<size_t>(q) + 1]; ++e) {
+        const StarNfa::Edge& edge = nfa.edges[static_cast<size_t>(e)];
+        os << "  " << q << " -";
+        switch (edge.kind) {
+          case StarNfa::Kind::kEpsilon:
+            os << "eps";
+            break;
+          case StarNfa::Kind::kGuard:
+            os << (edge.negated ? "not r" : "r") << edge.reg;
+            break;
+          case StarNfa::Kind::kMove:
+            os << AxisToString(edge.axis);
+            break;
+        }
+        os << "-> " << edge.to << "\n";
+      }
+    }
+  }
   return os.str();
 }
 
 namespace {
+
+bool VerifyNfa(const Program& program, int index) {
+  if (index < 0 || index >= static_cast<int>(program.star_nfas().size())) {
+    return false;
+  }
+  const StarNfa& nfa = program.star_nfas()[static_cast<size_t>(index)];
+  const int states = nfa.num_states();
+  if (states < 1 || nfa.first.front() != 0 ||
+      nfa.first.back() != static_cast<int>(nfa.edges.size()) ||
+      !std::is_sorted(nfa.first.begin(), nfa.first.end())) {
+    return false;
+  }
+  for (const StarNfa::Edge& edge : nfa.edges) {
+    if (edge.to < 0 || edge.to >= states) return false;
+    switch (edge.kind) {
+      case StarNfa::Kind::kEpsilon:
+        break;
+      case StarNfa::Kind::kGuard:
+        if (edge.reg < 0 || edge.reg >= program.num_regs()) return false;
+        break;
+      case StarNfa::Kind::kMove:
+        if (edge.axis != Axis::kChild && edge.axis != Axis::kParent &&
+            edge.axis != Axis::kNextSibling &&
+            edge.axis != Axis::kPrevSibling) {
+          return false;
+        }
+        break;
+    }
+  }
+  return true;
+}
 
 bool VerifyWalk(const Program& program, int begin, int end,
                 std::vector<char>* visited, std::string* error) {
@@ -639,6 +851,9 @@ bool VerifyWalk(const Program& program, int begin, int end,
         if (!ok_reg(ins.in) || !ok_reg(ins.out)) {
           return fail("instruction " + std::to_string(i) +
                       ": bad star in/out register");
+        }
+        if (!VerifyNfa(program, ins.nfa)) {
+          return fail("instruction " + std::to_string(i) + ": bad star nfa");
         }
         if (!VerifyWalk(program, ins.body_begin, ins.body_end, visited,
                         error)) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/alphabet.h"
-#include "exec/downward.h"
 #include "xpath/ast.h"
 
 namespace xptc {
@@ -32,7 +31,9 @@ enum class Op : uint8_t {
             //        lowering of ⟨p⟩ computes backward images)
   kStar,    // dst := reflexive-transitive back-image closure of a; the
             //        loop body [body_begin, body_end) maps register `in`
-            //        (current frontier) to register `out` (one p-step)
+            //        (current frontier) to register `out` (one p-step);
+            //        `nfa` indexes the body's StarNfa, which finishes the
+            //        closure once the star's round budget is spent
   kWithin,  // dst := {v : W-expression holds at v} via the interpreter
 
   // Closure kernels: dst := a ∪ axis-image(axis, a), with `axis` one of
@@ -58,7 +59,36 @@ struct Instr {
   int body_end = 0;
   int in = -1;   // kStar: frontier register read by the body
   int out = -1;  // kStar: one-step image register written by the body
+  int nfa = -1;  // kStar: index into Program::star_nfas()
   NodePtr within;  // kWithin: the full `W φ` node (canonical)
+};
+
+/// A star body `p` as a Thompson NFA over (node, state) pairs, the form
+/// `ExecEngine` finishes an over-budget star in (DESIGN.md §10.4). State 0
+/// is the star's loop state: (u, 0) reaches (w, 0) iff w ∈ back(p*, {u}),
+/// so a node at state 0 is in the closure. Transitions read only the tree
+/// and registers the register allocator keeps live across the whole loop.
+struct StarNfa {
+  enum class Kind : uint8_t {
+    kEpsilon,  // same node, next state
+    kGuard,    // same node, next state, iff reg(node) != negated
+    kMove,     // each w with (node, w) ∈ axis, next state
+  };
+  struct Edge {
+    Kind kind = Kind::kEpsilon;
+    int to = 0;
+    // kMove: one of the unit axes child, parent, right, left — inverted,
+    // as kAxis stores them, since the closure is a backward image.
+    Axis axis = Axis::kSelf;
+    int reg = -1;          // kGuard: the hoisted predicate's register
+    bool negated = false;  // kGuard: the node must be outside `reg`
+  };
+
+  /// Out-edges of state q are edges[first[q], first[q + 1]).
+  std::vector<int> first;
+  std::vector<Edge> edges;
+
+  int num_states() const { return static_cast<int>(first.size()) - 1; }
 };
 
 struct CompileStats {
@@ -67,8 +97,6 @@ struct CompileStats {
   int num_vregs = 0;   // SSA virtual registers before allocation
   int num_regs = 0;    // physical bitset registers after linear scan
   int dag_hits = 0;    // lowering memo hits — shared subcomputations
-  bool downward = false;  // one-pass downward program attached
-  int bit_ops = 0;        // downward bit-program length (0 if !downward)
 };
 
 /// A compiled query plan: the result of lowering a `NodeExpr` DAG into a
@@ -92,8 +120,9 @@ struct CompileStats {
 ///    loop bodies follow, each a contiguous range referenced by its kStar
 ///    instruction. Executing [0, main_end) in order (recursing into bodies
 ///    at kStar sites) leaves the answer in `result_reg()`.
-///  - If the plan lies in the downward fragment, a `DownwardProgram` is
-///    attached for the one-pass linear engine.
+///  - Every kStar carries a `StarNfa` of its body, so the engine can
+///    finish any star in O(|body| · n) however many rounds its fixpoint
+///    would take.
 ///
 /// A Program is immutable and shareable across threads and trees; per-run
 /// state (the register file) lives in `ExecEngine`.
@@ -112,8 +141,8 @@ class Program {
   /// instructions and serves as the cache identity in `PlanCache`.
   const NodePtr& plan() const { return plan_; }
 
-  /// Non-null iff the plan is downward-compilable.
-  const DownwardProgram* downward() const { return downward_.get(); }
+  /// The body automata of the kStar instructions (`Instr::nfa`).
+  const std::vector<StarNfa>& star_nfas() const { return star_nfas_; }
 
   /// Deterministic disassembly (used by lowering-determinism tests).
   std::string ToString(const Alphabet& alphabet) const;
@@ -132,7 +161,7 @@ class Program {
   int result_reg_ = -1;
   CompileStats stats_;
   NodePtr plan_;
-  std::unique_ptr<const DownwardProgram> downward_;
+  std::vector<StarNfa> star_nfas_;
 };
 
 /// Structural check over a finished (register-allocated) program: operand

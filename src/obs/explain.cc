@@ -107,9 +107,7 @@ bool TraceMatchesRegistry(const TraceNode& root, const Snapshot& delta,
   }
   // Dispatch decisions: each trace note `dispatch: <name>` must correspond
   // to exactly one increment of the matching exec.dispatch.<name> counter.
-  for (const char* name :
-       {"register_machine", "downward_fallback", "downward_direct",
-        "general"}) {
+  for (const char* name : {"register_machine", "reachability_pass"}) {
     const int64_t from_trace =
         CountNotes(root, std::string("dispatch: ") + name);
     const int64_t from_registry =
@@ -221,7 +219,6 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
       parse_span.Attr("instrs", stats.num_instrs);
       parse_span.Attr("regs", stats.num_regs);
       parse_span.Attr("dag_hits", stats.dag_hits);
-      parse_span.Attr("downward", stats.downward ? 1 : 0);
     }
     compiled_result = engine.Eval(*compiled.program);
     {
@@ -263,7 +260,7 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
     r.append("\",\n  \"star_rounds_used\": ");
     r.append(std::to_string(run.star_rounds_used));
     r.append(",\n  \"star_round_budget\": ");
-    r.append(std::to_string(run.star_round_budget));
+    r.append(std::to_string(exec::ExecEngine::kStarRoundBudget));
     r.append(",\n  \"result_count\": ");
     r.append(std::to_string(compiled_result.Count()));
     r.append(",\n  \"match\": ");
@@ -290,9 +287,7 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
   os << "program: " << program.code().size() << " instrs, "
      << program.num_regs() << " regs, result r" << program.result_reg()
      << ", main [0," << program.main_end() << "), dag_hits=" << stats.dag_hits
-     << ", downward=" << (stats.downward ? "yes" : "no");
-  if (stats.downward) os << " (bit_ops=" << stats.bit_ops << ")";
-  os << "\n";
+     << "\n";
   for (size_t i = 0; i < program.code().size(); ++i) {
     os << "  " << i << ": "
        << program.InstrToString(static_cast<int>(i), alphabet);
@@ -303,9 +298,8 @@ Result<ExplainOutput> ExplainQuery(const ExplainOptions& options) {
   }
   os << "\n";
   os << "dispatch: " << dispatch << "\n";
-  os << "star rounds: used " << run.star_rounds_used;
-  if (run.star_round_budget > 0) os << " of budget " << run.star_round_budget;
-  os << "\n";
+  os << "star rounds: used " << run.star_rounds_used << ", budget "
+     << exec::ExecEngine::kStarRoundBudget << " per star\n";
   os << "result: " << compiled_result.Count() << "/" << tree->size()
      << " nodes\n";
   os << "cross-check: "

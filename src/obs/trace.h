@@ -80,7 +80,7 @@ class QueryTrace {
 /// Under XPTC_OBS the span is timed, and if a flame histogram is supplied
 /// the elapsed nanoseconds are Observed into it on destruction *even when
 /// no trace is active* — that is the flame-scoped timing path (evaluator,
-/// compiled engine, batch tasks, all nine oracles).
+/// compiled engine, batch tasks, all eight oracles).
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Histogram* flame = nullptr);

@@ -39,6 +39,40 @@ QueryFragment ToQueryFragment(FuzzFragment fragment) {
   }
 }
 
+// `path` with every transitive axis cut to its unit step (desc and dos to
+// child, anc and aos to parent, fsib and foll to right, psib and prec to
+// left), so a star over it advances one node per round.
+PathPtr UnitSteps(const PathPtr& path) {
+  switch (path->op) {
+    case PathOp::kAxis:
+      switch (path->axis) {
+        case Axis::kDescendant:
+        case Axis::kDescendantOrSelf:
+          return MakeAxis(Axis::kChild);
+        case Axis::kAncestor:
+        case Axis::kAncestorOrSelf:
+          return MakeAxis(Axis::kParent);
+        case Axis::kFollowingSibling:
+        case Axis::kFollowing:
+          return MakeAxis(Axis::kNextSibling);
+        case Axis::kPrecedingSibling:
+        case Axis::kPreceding:
+          return MakeAxis(Axis::kPrevSibling);
+        default:
+          return path;
+      }
+    case PathOp::kSeq:
+      return MakeSeq(UnitSteps(path->left), UnitSteps(path->right));
+    case PathOp::kUnion:
+      return MakeUnion(UnitSteps(path->left), UnitSteps(path->right));
+    case PathOp::kFilter:
+      return MakeFilter(UnitSteps(path->left), path->pred);
+    case PathOp::kStar:
+      return MakeStar(UnitSteps(path->left));
+  }
+  return path;
+}
+
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -110,25 +144,47 @@ FuzzCase Fuzzer::DeriveCase(uint64_t case_seed) const {
   }
 
   TreeGenOptions tree_options;
-  if (options_.deep_tree_bias && rng.NextBool()) {
+  std::vector<Symbol> tree_labels = labels_;
+  const bool deep = options_.deep_tree_bias && rng.NextBool();
+  if (deep) {
     tree_options.num_nodes =
         rng.NextInt(options_.max_tree_nodes, options_.max_tree_nodes * 8);
     tree_options.shape =
         rng.NextBool() ? TreeShape::kChain : TreeShape::kCaterpillar;
+    // Two labels, so a guard such as [a or b] holds along whole runs and
+    // a star's fixpoint takes depth-many rounds: past the round budget,
+    // the reachability pass finishes it.
+    if (tree_labels.size() > 2) tree_labels.resize(2);
   } else {
     tree_options.num_nodes = rng.NextInt(1, options_.max_tree_nodes);
     tree_options.shape = static_cast<TreeShape>(rng.NextBelow(7));
   }
   tree_options.arity = rng.NextInt(2, 4);
   Rng tree_rng = rng.Fork();
-  out.tree = GenerateTree(tree_options, labels_, &tree_rng);
+  out.tree = GenerateTree(tree_options, tree_labels, &tree_rng);
 
   const int depth = rng.NextInt(1, options_.max_query_depth);
   Rng query_rng = rng.Fork();
+  const bool has_star = out.fragment == FuzzFragment::kRegular ||
+                        out.fragment == FuzzFragment::kRegularW;
   if (out.fragment == FuzzFragment::kCompilable) {
     QueryGenOptions query_options;
     query_options.max_depth = depth;
     out.query = GenerateCompilableNode(query_options, labels_, &query_rng);
+  } else if (deep && has_star && query_rng.NextBool()) {
+    // Half the deep star-fragment cases take a star over unit steps seeded
+    // at one end of the tree: the root, the leaves, or the first or last
+    // siblings. Generated queries rarely walk a deep tree one node per
+    // round, and these do, so their fixpoints outrun the round budget.
+    const NodePtr seeds[] = {
+        MakeRootTest(), MakeLeafTest(),
+        MakeNot(MakeSome(MakeAxis(Axis::kPrevSibling))),
+        MakeNot(MakeSome(MakeAxis(Axis::kNextSibling)))};
+    const PathPtr body = GeneratePath(
+        OptionsForFragment(ToQueryFragment(out.fragment), depth), labels_,
+        &query_rng);
+    out.query = MakeSome(MakeFilter(MakeStar(UnitSteps(body)),
+                                    seeds[query_rng.NextBelow(4)]));
   } else {
     out.query = GenerateNode(
         OptionsForFragment(ToQueryFragment(out.fragment), depth), labels_,

@@ -52,10 +52,14 @@ struct FuzzOptions {
   int max_query_depth = 4;
 
   /// When true, half of the cases take a deep-tree profile instead: shape
-  /// drawn from {chain, caterpillar} and size from [max_tree_nodes,
-  /// 8 * max_tree_nodes]. Depth ≈ nodes is the closure axis kernels' worst
-  /// regime (one interval/streamed pass vs an O(depth)-round fixpoint),
-  /// and the uniform shape/size draw above under-samples it badly.
+  /// drawn from {chain, caterpillar}, size from [max_tree_nodes,
+  /// 8 * max_tree_nodes], and labels from the first two symbols only.
+  /// Depth ≈ nodes is the closure axis kernels' worst regime (one
+  /// interval/streamed pass vs an O(depth)-round fixpoint). With two
+  /// labels, star guards hold along long runs; half of the deep
+  /// Regular XPath(W) cases also take a star over unit steps seeded at
+  /// one end of the tree, so their stars outlast the engine's round
+  /// budget. The uniform shape/size draw above under-samples all of this.
   bool deep_tree_bias = false;
 
   /// Stop the campaign after this many findings (each is shrunk first).

@@ -278,9 +278,9 @@ class BatchOracle : public Oracle {
 };
 
 /// The compiled execution backend: each case is lowered to a DAG bytecode
-/// program (hash-consing, register allocation) and run on the general
-/// register machine — deliberately bypassing the downward fast path so the
-/// bytecode interpreter itself is what gets cross-checked.
+/// program (hash-consing, register allocation) and run through `Eval`, the
+/// production path, so stars past their round budget cross-check the
+/// reachability pass too.
 class ExecOracle : public Oracle {
  public:
   ExecOracle()
@@ -290,29 +290,7 @@ class ExecOracle : public Oracle {
     std::shared_ptr<const exec::Program> program =
         exec::Program::Compile(query);
     exec::ExecEngine engine(tree);
-    return engine.EvalGeneral(*program);
-  }
-};
-
-/// The one-pass downward engine: a single bottom-up sweep over the
-/// preorder arrays evaluating the compiled bit program.
-class DownwardExecOracle : public Oracle {
- public:
-  DownwardExecOracle()
-      : Oracle({.name = "dexec",
-                .total_on = Dialect::kRegularXPathW,
-                .downward_only = true}) {}
-
-  Result<SelectedSet> Run(const Tree& tree, const NodePtr& query) override {
-    std::shared_ptr<const exec::Program> program =
-        exec::Program::Compile(query);
-    if (program->downward() == nullptr) {
-      // The downward gate is IsDownwardNode; a downward query that fails
-      // bit-program compilation is residual softness, not a wrong answer.
-      return Status::NotSupported("no downward compilation");
-    }
-    exec::ExecEngine engine(tree);
-    return engine.EvalDownward(*program);
+    return engine.Eval(*program);
   }
 };
 
@@ -483,7 +461,6 @@ std::unique_ptr<OracleRegistry> MakeDefaultRegistry(
     registry->Register(std::make_unique<BatchOracle>());
   }
   registry->Register(std::make_unique<ExecOracle>());
-  registry->Register(std::make_unique<DownwardExecOracle>());
   if (options.include_heavy) {
     registry->Register(std::make_unique<FOOracle>(options));
     registry->Register(std::make_unique<NtwaOracle>(alphabet, options));

@@ -168,7 +168,7 @@ struct DefaultRegistryOptions {
   int dfta_max_query_size = 10;
 };
 
-/// Builds the nine-pipeline registry:
+/// Builds the eight-pipeline registry:
 ///
 ///   name   | pipeline                              | total on
 ///   -------+---------------------------------------+--------------------
@@ -177,7 +177,6 @@ struct DefaultRegistryOptions {
 ///   seed   | SeedEvaluator (frozen baseline)       | RegXPath(W)
 ///   batch  | BatchEngine (parallel throughput path)| RegXPath(W)
 ///   exec   | compiled bytecode register machine    | RegXPath(W)
-///   dexec  | one-pass downward bit-program engine  | downward fragment
 ///   fo     | xpath_to_fo + FO(MTC) model checker   | RegXPath(W), gated
 ///   ntwa   | XPathToNtwaCompiler + EvalAll         | compilable frag.
 ///   dfta   | DownwardQueryToDfta + subtree Accepts | downward compilable

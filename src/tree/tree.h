@@ -53,8 +53,7 @@ class Tree {
 
   // Read-only preorder column spans (`size()` entries each), for streaming
   // kernels that scan a whole id window sequentially — the density-adaptive
-  // axis kernels and the downward sweep read these instead of per-node
-  // accessor hops. The spans stay valid and immutable for the tree's
+  // axis kernels read these instead of per-node accessor hops. The spans stay valid and immutable for the tree's
   // lifetime; entries are exactly what the per-node accessors return
   // (`kNoNode` sentinels included), so bounds discipline is the caller's.
   const Symbol* LabelData() const { return label_.data(); }

@@ -1,6 +1,6 @@
 // Tier-1 deterministic replay of the checked-in fuzzing corpus
 // (tests/corpus/*.case): every case must load, parse, and cross-check
-// clean on the full nine-oracle registry. Replay never re-runs the
+// clean on the full eight-oracle registry. Replay never re-runs the
 // generators — the XML and query text in the case line are authoritative,
 // so a finding file keeps reproducing even if generator internals change.
 
@@ -59,8 +59,8 @@ TEST(CorpusReplayTest, EveryCaseReplaysCleanOnAllOracles) {
   // Replay must exercise more than the engine tier: the corpus is seeded
   // so the logic/automata oracles run on at least some cases.
   const auto& runs = registry->stats().runs;
-  for (const char* name : {"naive", "sets", "seed", "exec", "dexec",
-                           "fo", "ntwa", "dfta"}) {
+  for (const char* name :
+       {"naive", "sets", "seed", "exec", "fo", "ntwa", "dfta"}) {
     const auto it = runs.find(name);
     EXPECT_TRUE(it != runs.end() && it->second > 0)
         << "oracle never ran on the corpus: " << name;

@@ -1,16 +1,17 @@
 // Tests for the compiled execution backend (src/exec/): lowering
 // determinism, DAG sharing, register allocation, the bytecode register
-// machine, the one-pass downward engine, and the integration surfaces
-// (BatchEngine::RunCompiled, PlanCache::ParseCompiled).
+// machine, the reachability pass that finishes over-budget stars, and the
+// integration surfaces (BatchEngine::RunCompiled, PlanCache::ParseCompiled).
 //
 // The correctness bar throughout is bit-for-bit agreement with the
-// interpreter (`Evaluator`) — the compiled engines are alternative
-// execution strategies for the same semantics, so every divergence is a
-// bug by definition (this is also what the fuzz oracles `exec`/`dexec`
-// enforce at campaign scale).
+// interpreter (`Evaluator`) — the compiled engine is an alternative
+// execution strategy for the same semantics, so every divergence is a
+// bug by definition (this is also what the fuzz oracle `exec` enforces at
+// campaign scale).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,11 +20,11 @@
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/program.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "tree/generate.h"
 #include "workload/batch.h"
 #include "workload/plan_cache.h"
-#include "xpath/axis_kernels.h"
 #include "xpath/eval.h"
 #include "xpath/fragment.h"
 #include "xpath/generator.h"
@@ -82,8 +83,9 @@ TEST(ExecProgramTest, DagSharingCollapsesRepeatedSubexpressions) {
   Tree tree = T("a(b(c), a(b, c), c(a(b(c))))", &alphabet);
   ExecEngine engine(tree);
   NodePtr query = N(text, &alphabet);
-  EXPECT_EQ(engine.EvalGeneral(*Program::Compile(query)),
-            Interpret(tree, query));
+  EXPECT_EQ(engine.Eval(*Program::Compile(query)), Interpret(tree, query));
+  // Per-instruction counts are kept only for a traced run (EXPLAIN).
+  EXPECT_TRUE(engine.last_run().instr_execs.empty());
 }
 
 TEST(ExecProgramTest, RegisterAllocationReusesRegisters) {
@@ -99,19 +101,6 @@ TEST(ExecProgramTest, RegisterAllocationReusesRegisters) {
   EXPECT_LE(stats.num_regs, 8);
 }
 
-TEST(ExecProgramTest, DownwardProgramAttachedExactlyOnDownwardPlans) {
-  Alphabet alphabet;
-  auto downward =
-      Program::Compile(N("<child[a]/desc[b]> and not <dos[c]>", &alphabet));
-  ASSERT_NE(downward->downward(), nullptr);
-  EXPECT_TRUE(downward->stats().downward);
-  EXPECT_GT(downward->stats().bit_ops, 0);
-
-  auto upward = Program::Compile(N("<anc[a]>", &alphabet));
-  EXPECT_EQ(upward->downward(), nullptr);
-  EXPECT_FALSE(upward->stats().downward);
-}
-
 TEST(ExecProgramTest, AllNodesTargetsFoldAway) {
   // ⟨p⟩⊤ starts from the all-nodes set: `leaf` and a bare `<child>` read
   // the tree's has-child column instead of a parent image over a `true`
@@ -120,7 +109,7 @@ TEST(ExecProgramTest, AllNodesTargetsFoldAway) {
   const auto code = [&alphabet](const char* text) {
     const std::string listing =
         Program::Compile(N(text, &alphabet))->ToString(alphabet);
-    return listing.substr(0, listing.find("downward program"));
+    return listing.substr(0, listing.find("star nfa"));
   };
   for (const char* text : {"leaf", "<child>", "not <child>"}) {
     const std::string listing = code(text);
@@ -174,7 +163,7 @@ TEST(ExecProgramTest, NegatedOperandsFuseIntoAndNotOrNot) {
   const auto code = [&alphabet](const char* text) {
     const std::string listing =
         Program::Compile(N(text, &alphabet))->ToString(alphabet);
-    return listing.substr(0, listing.find("downward program"));
+    return listing.substr(0, listing.find("star nfa"));
   };
   const struct {
     const char* text;
@@ -222,7 +211,7 @@ TEST(ExecEngineTest, AllNodesFoldsMatchInterpreterOnEveryShape) {
   // The has-child column, the filter and star folds, and and-not/or-not
   // fusion, outside and inside star bodies, on every generated shape down
   // to the one-node tree: each lowered program passes VerifyProgram and
-  // matches the interpreter through both register-machine entry points.
+  // matches the interpreter.
   Alphabet alphabet;
   const std::vector<Tree> trees = CorpusTrees(&alphabet, 3, 300, 83);
   const char* texts[] = {
@@ -265,11 +254,8 @@ TEST(ExecEngineTest, AllNodesFoldsMatchInterpreterOnEveryShape) {
                                                        << error;
     for (const Tree& tree : trees) {
       ExecEngine engine(tree);
-      const Bitset reference = Interpret(tree, query);
-      ASSERT_EQ(engine.EvalGeneral(*program), reference)
+      ASSERT_EQ(engine.Eval(*program), Interpret(tree, query))
           << text << " n=" << tree.size();
-      ASSERT_EQ(engine.Eval(*program), reference)
-          << text << " (dispatched) n=" << tree.size();
     }
   }
 }
@@ -291,7 +277,6 @@ TEST(ExecEngineTest, RegisterFileIsReusedAcrossProgramsAndRuns) {
     for (const auto& program : programs) {
       ExecEngine fresh(tree);
       EXPECT_EQ(shared.Eval(*program), fresh.Eval(*program));
-      EXPECT_EQ(shared.EvalGeneral(*program), fresh.EvalGeneral(*program));
     }
   }
 }
@@ -312,7 +297,7 @@ TEST(ExecEngineTest, MatchesInterpreterOnRandomCorpus) {
       auto program = Program::Compile(query);
       for (const Tree& tree : trees) {
         ExecEngine engine(tree);
-        ASSERT_EQ(engine.EvalGeneral(*program), Interpret(tree, query))
+        ASSERT_EQ(engine.Eval(*program), Interpret(tree, query))
             << "fragment " << QueryFragmentToString(fragment) << " query "
             << NodeToString(*query, alphabet);
       }
@@ -320,113 +305,229 @@ TEST(ExecEngineTest, MatchesInterpreterOnRandomCorpus) {
   }
 }
 
-TEST(ExecEngineTest, DownwardEngineMatchesGeneralOnRandomDownwardCorpus) {
+// Deep trees over the labels a and b (or a alone), so a guard [a or b]
+// holds along whole runs: a chain and a caterpillar (depth ~ n) and a star
+// (n - 1 siblings), each far past the star-round budget.
+std::vector<Tree> DeepTrees(Alphabet* alphabet, uint64_t seed,
+                            int num_labels = 2) {
+  const std::vector<Symbol> labels = DefaultLabels(alphabet, num_labels);
+  Rng rng(seed);
+  std::vector<Tree> trees;
+  for (TreeShape shape :
+       {TreeShape::kChain, TreeShape::kCaterpillar, TreeShape::kStar}) {
+    TreeGenOptions options;
+    options.num_nodes = 1500;
+    options.shape = shape;
+    trees.push_back(GenerateTree(options, labels, &rng));
+  }
+  return trees;
+}
+
+// Runs `query` through `Eval` on `tree` and checks it against the
+// interpreter, whose semi-naive stars run the same rounds as the register
+// machine's but never stop: the interpreter's round count (the
+// `eval.star_rounds` delta) tells whether any star outran the budget.
+// Returns true iff the reachability pass finished a star.
+bool EvalMatchesInterpreter(const Tree& tree, const NodePtr& query,
+                            const Alphabet& alphabet) {
+  obs::Counter& interp_rounds =
+      obs::Registry::Default().counter("eval.star_rounds");
+  const int64_t before = interp_rounds.value();
+  const Bitset reference = Interpret(tree, query);
+  const int64_t rounds = interp_rounds.value() - before;
+  auto program = Program::Compile(query);
+  ExecEngine engine(tree);
+  const std::string where =
+      NodeToString(*query, alphabet) + " n=" + std::to_string(tree.size());
+  EXPECT_EQ(engine.Eval(*program), reference) << where;
+  const ExecEngine::RunInfo& run = engine.last_run();
+  const bool finished_by_pass =
+      run.dispatch == ExecEngine::RunInfo::Dispatch::kDownwardFallback;
+  const int64_t budget = ExecEngine::kStarRoundBudget;
+  // The register machine runs the interpreter's rounds until a star's
+  // budget is spent, so it never runs more.
+  EXPECT_LE(run.star_rounds_used, rounds) << where;
+  if (finished_by_pass) {
+    EXPECT_GT(rounds, budget) << where;
+  }
+  int stars = 0;
+  for (const exec::Instr& ins : program->code()) {
+    stars += ins.op == exec::Op::kStar;
+  }
+  if (stars == 1) {
+    // One star: it stops at the budget exactly when its fixpoint needs
+    // more rounds than that.
+    EXPECT_EQ(finished_by_pass, rounds > budget) << where;
+    EXPECT_EQ(run.star_rounds_used, std::min(rounds, budget)) << where;
+  }
+  return finished_by_pass;
+}
+
+// The adversarial star texts of E12 (EXPERIMENTS.md), each seeded at the
+// far end of the direction its body walks.
+constexpr const char* kAdversarialStars[] = {
+    "<(parent[a or b])*[not <parent>]>",
+    "<(child[a or b])*[not <child>]>",
+    "<(right[a or b])*[not <right>]>",
+    "<(parent/parent[a or b])*[not <parent>]>",
+    "<(fsib/child)*[not <child>]>",
+    "<((child[a])*/child)*[not <child>]>",
+};
+
+TEST(ExecEngineTest, ReachabilityPassFinishesAdversarialStars) {
+  // Each adversarial body on each deep shape: the answer matches the
+  // interpreter whether the budget held or the pass took over, and the
+  // pass does take over on every shape.
   Alphabet alphabet;
-  const std::vector<Tree> trees = CorpusTrees(&alphabet, 4, 20, 79);
-  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 4);
-  Rng rng(80);
-  int downward_programs = 0;
-  for (int i = 0; i < 60; ++i) {
-    NodePtr query = GenerateNode(
-        OptionsForFragment(QueryFragment::kDownward, 3), labels, &rng);
-    auto program = Program::Compile(query);
-    ASSERT_NE(program->downward(), nullptr)
-        << NodeToString(*query, alphabet);
-    ++downward_programs;
-    for (const Tree& tree : trees) {
-      ExecEngine engine(tree);
-      const Bitset reference = Interpret(tree, query);
-      ASSERT_EQ(engine.EvalDownward(*program), reference)
-          << "downward engine diverged on "
-          << NodeToString(*query, alphabet);
-      ASSERT_EQ(engine.EvalGeneral(*program), reference)
-          << "register machine diverged on "
-          << NodeToString(*query, alphabet);
+  const std::vector<Tree> trees = DeepTrees(&alphabet, 79);
+  int finished_by_pass[3] = {0, 0, 0};
+  for (const char* text : kAdversarialStars) {
+    const NodePtr query = N(text, &alphabet);
+    for (size_t t = 0; t < trees.size(); ++t) {
+      finished_by_pass[t] += EvalMatchesInterpreter(trees[t], query, alphabet);
     }
   }
-  EXPECT_EQ(downward_programs, 60);
+  for (int count : finished_by_pass) EXPECT_GT(count, 0);
+}
+
+// A random star body over the unit moves, which advance one node per
+// round, with guards that mostly hold on trees labelled a and b.
+PathPtr UnitMoveBody(const std::vector<Symbol>& labels, int depth, Rng* rng) {
+  const Axis units[] = {Axis::kChild, Axis::kParent, Axis::kNextSibling,
+                        Axis::kPrevSibling};
+  const int pick = depth == 0 ? 0 : rng->NextInt(0, 4);
+  switch (pick) {
+    case 0:
+      return MakeAxis(units[rng->NextBelow(4)]);
+    case 1:
+      return MakeSeq(UnitMoveBody(labels, depth - 1, rng),
+                     UnitMoveBody(labels, depth - 1, rng));
+    case 2:
+      return MakeUnion(UnitMoveBody(labels, depth - 1, rng),
+                       UnitMoveBody(labels, depth - 1, rng));
+    case 3:
+      return MakeStar(UnitMoveBody(labels, depth - 1, rng));
+    default: {
+      const NodePtr a = MakeLabel(labels[0]);
+      const NodePtr b = MakeLabel(labels[1]);
+      const NodePtr guards[] = {MakeOr(a, b), MakeNot(b), a,
+                                MakeOr(a, MakeSome(MakeAxis(Axis::kChild)))};
+      return MakeFilter(UnitMoveBody(labels, depth - 1, rng),
+                        guards[rng->NextBelow(4)]);
+    }
+  }
+}
+
+TEST(ExecEngineTest, ReachabilityPassMatchesInterpreterOnRandomDeepCorpus) {
+  // Random Regular XPath star bodies, seeded at the root, the leaves or
+  // the last siblings, on deep trees labelled a and b or a alone: guards
+  // hold along long runs, so many stars outrun the budget.
+  Alphabet alphabet;
+  std::vector<Tree> trees = DeepTrees(&alphabet, 80);
+  for (Tree& tree : DeepTrees(&alphabet, 80, 1)) {
+    trees.push_back(std::move(tree));
+  }
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 2);
+  const NodePtr seeds[] = {MakeRootTest(), MakeLeafTest(),
+                           MakeNot(MakeSome(MakeAxis(Axis::kNextSibling)))};
+  Rng rng(81);
+  int finished_by_pass = 0;
+  for (int i = 0; i < 90; ++i) {
+    // Generator bodies cover every axis; unit-move bodies outrun the budget.
+    const PathPtr body =
+        i % 2 == 0
+            ? GeneratePath(OptionsForFragment(QueryFragment::kRegular, 2),
+                           labels, &rng)
+            : UnitMoveBody(labels, 3, &rng);
+    const NodePtr query =
+        MakeSome(MakeFilter(MakeStar(body), seeds[i % 3]));
+    for (const Tree& tree : trees) {
+      finished_by_pass += EvalMatchesInterpreter(tree, query, alphabet);
+    }
+  }
+  EXPECT_GT(finished_by_pass, 0);
 }
 
 TEST(ExecEngineTest, StarScheduleRegressions) {
-  // Regression pin for the downward bit-program scheduler: the fixpoint
-  // bit of `(child[ψ])*` is defined *after* its chain bits in emission
-  // order, so a naive in-order sweep reads it as always-false and the star
-  // collapses to `self`. These queries all die without the topological
-  // (SCC-aware) schedule; nested stars additionally require the repeated
-  // chaotic-iteration rounds.
+  // Nested stars, a star under a filter inside a star, and a star whose
+  // body both descends and filters: on deep trees each loop may be
+  // finished by the reachability pass, inner loops through the outer
+  // body's NFA included.
   Alphabet alphabet;
   const char* queries[] = {
       "<(child[b])*[a]>",
-      "<(child)*[a]>",
+      "<(child[a or b])*[a]>",
       "<(desc[b]/child)*[a]>",
       "<((child[b])*)*[a]>",
       "<((child)*/child[b])*[a]>",
       "<(child[<(child[b])*[a]>])*[b]>",
+      "<((parent[a or b])*/parent)*[not <parent>]>",
   };
-  const char* terms[] = {
-      "b(b(b(a)))",                  // chain: star must descend all of it
-      "c(b(b(a)), a(b), b(c(a)))",
-      "a",
-      "b(a(b(a(b(a)))))",
-  };
-  for (const char* term : terms) {
-    Tree tree = T(term, &alphabet);
-    ExecEngine engine(tree);
+  int finished_by_pass = 0;
+  for (const Tree& tree : DeepTrees(&alphabet, 82)) {
     for (const char* text : queries) {
-      NodePtr query = N(text, &alphabet);
-      auto program = Program::Compile(query);
-      ASSERT_NE(program->downward(), nullptr);
-      const Bitset reference = Interpret(tree, query);
-      EXPECT_EQ(engine.EvalDownward(*program), reference)
-          << text << " on " << term;
-      EXPECT_EQ(engine.EvalGeneral(*program), reference)
-          << text << " on " << term;
+      finished_by_pass +=
+          EvalMatchesInterpreter(tree, N(text, &alphabet), alphabet);
     }
   }
+  EXPECT_GT(finished_by_pass, 0);
 }
 
-TEST(ExecEngineTest, HybridDispatchFallsBackOnDeepSparseStars) {
-  // `Eval` runs downward-compilable programs on the register machine with
-  // a star-round budget. A deep chain whose star seed is one node at the
-  // bottom forces ~depth rounds — the quadratic regime — so the engine
-  // must abandon the run and re-execute as the one-pass sweep, with the
-  // identical answer. A shallow tree stays on the register machine.
-  //
-  // A bare-axis star now lowers to a one-pass closure op (kAncMark here),
-  // which never loops, so the fixpoint-budget machinery is exercised with
-  // closure collapse disabled.
-  axis::SetClosureCollapseForTesting(false);
+TEST(ExecEngineTest, ReachabilityPassExpandsFollowingAndPrecedingBodies) {
+  // foll and prec expand to three closure loops each (aos, then fsib or
+  // psib, then dos) inside the body's NFA.
   Alphabet alphabet;
-  const Symbol a = alphabet.Intern("a");
-  const Symbol b = alphabet.Intern("b");
-  const int depth = 3000;
-  TreeBuilder builder;
-  for (int i = 0; i < depth; ++i) builder.Begin(i == depth - 1 ? b : a);
-  for (int i = 0; i < depth; ++i) builder.End();
-  const Tree chain = std::move(builder).Finish().ValueOrDie();
-  NodePtr query = N("<(child)*[b]>", &alphabet);
-  auto program = Program::Compile(query);
-  ASSERT_NE(program->downward(), nullptr);
+  int finished_by_pass = 0;
+  for (const Tree& tree : DeepTrees(&alphabet, 83)) {
+    for (const char* text :
+         {"<(foll[a]/parent)*[not <child>]>", "<(parent/prec[b])*[a]>",
+          "<(prec[a or b] | parent)*[not <parent>]>"}) {
+      finished_by_pass +=
+          EvalMatchesInterpreter(tree, N(text, &alphabet), alphabet);
+    }
+  }
+  EXPECT_GT(finished_by_pass, 0);
+}
+
+TEST(ExecEngineTest, DeadlineIsHonouredDuringTheReachabilityPass) {
+  // A 256k chain: the budgeted rounds take a fraction of the run and the
+  // pass the rest. Deadlines spread over the run's length land some runs
+  // in the pass, which must then stop at a pass probe: abandoned, with
+  // every budgeted round done.
+  Alphabet alphabet;
+  const std::vector<Symbol> labels = DefaultLabels(&alphabet, 2);
+  Rng rng(84);
+  TreeGenOptions options;
+  options.num_nodes = 1 << 18;
+  options.shape = TreeShape::kChain;
+  const Tree chain = GenerateTree(options, labels, &rng);
+  auto program =
+      Program::Compile(N("<(parent[a or b])*[not <parent>]>", &alphabet));
   ExecEngine engine(chain);
-  const Bitset answer = engine.Eval(*program);
-  EXPECT_TRUE(engine.last_used_downward());  // budget blew, sweep ran
-  EXPECT_EQ(answer, Interpret(chain, query));
-  EXPECT_EQ(answer, engine.EvalGeneral(*program));
-
-  const Tree shallow = T("a(a(b), a, b(a))", &alphabet);
-  ExecEngine shallow_engine(shallow);
-  EXPECT_EQ(shallow_engine.Eval(*program), Interpret(shallow, query));
-  EXPECT_FALSE(shallow_engine.last_used_downward());
-  axis::ResetClosureCollapseForTesting();
-
-  // With closure collapse on (the default), the same deep-chain star is a
-  // single closure instruction: the register machine finishes with no
-  // fixpoint rounds and no fallback, bit-for-bit identical.
-  auto collapsed = Program::Compile(query);
-  ExecEngine collapsed_engine(chain);
-  EXPECT_EQ(collapsed_engine.Eval(*collapsed), answer);
-  EXPECT_FALSE(collapsed_engine.last_used_downward());
-  EXPECT_EQ(collapsed_engine.last_run().star_rounds_used, 0);
+  int64_t start = ExecEngine::SteadyNowNs();
+  engine.Eval(*program);
+  const int64_t full_ns = ExecEngine::SteadyNowNs() - start;
+  ASSERT_EQ(engine.last_run().dispatch,
+            ExecEngine::RunInfo::Dispatch::kDownwardFallback);
+  int expired_in_pass = 0;
+  for (int sweep = 0; sweep < 4 && expired_in_pass == 0; ++sweep) {
+    for (int k = 1; k < 16; ++k) {
+      start = ExecEngine::SteadyNowNs();
+      engine.SetDeadline(start + full_ns * k / 16);
+      engine.Eval(*program);
+      const ExecEngine::RunInfo& run = engine.last_run();
+      if (run.deadline_expired &&
+          run.star_rounds_used == ExecEngine::kStarRoundBudget) {
+        EXPECT_EQ(run.dispatch,
+                  ExecEngine::RunInfo::Dispatch::kDownwardFallback);
+        ++expired_in_pass;
+      }
+    }
+  }
+  engine.SetDeadline(0);
+  EXPECT_GT(expired_in_pass, 0);
+  engine.Eval(*program);
+  EXPECT_FALSE(engine.last_run().deadline_expired);
 }
 
 // ------------------------------------------------------------- integration

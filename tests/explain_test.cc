@@ -30,21 +30,21 @@ document: generated shape=uniform n=64 seed=1 labels=4
 dialect: plan=CoreXPath source=RegularXPath
 plan: <dos[a]>
 
-program: 2 instrs, 2 regs, result r1, main [0,2), dag_hits=0, downward=yes (bit_ops=5)
+program: 2 instrs, 2 regs, result r1, main [0,2), dag_hits=0
   0: r0 = label a   [execs 1]
   1: r1 = axis aos r0   [execs 1]
 
 dispatch: register_machine
-star rounds: used 0 of budget 72
+star rounds: used 0, budget 256 per star
 result: 28/64 nodes
 cross-check: interpreter bit-for-bit match
 
 trace:
 query
-  plan_cache.parse_compiled instrs=2 regs=2 dag_hits=0 downward=1
+  plan_cache.parse_compiled instrs=2 regs=2 dag_hits=0
     - plan_cache: text miss, parsed + interned
     - plan_cache: program miss, lowered
-  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=72 instrs_executed=2 result_count=28
+  exec.eval axis.aos.sparse_path=1 axis.aos.touches=28 star_rounds_used=0 star_round_budget=256 instrs_executed=2 result_count=28
     - dispatch: register_machine
   interpreter.select axis.aos.sparse_path=1 axis.aos.touches=28 result_count=28
 
@@ -100,6 +100,20 @@ TEST(ExplainTest, StarHeavyQueryKeepsTraceAndRegistryConsistent) {
   ASSERT_TRUE(explained.ok()) << explained.status().message();
   EXPECT_TRUE(explained->match);
   EXPECT_TRUE(explained->consistent) << explained->rendered;
+
+  // A deep two-label chain: the star outruns its round budget, and the
+  // reachability pass's dispatch note and counter must agree too.
+  options.query = "<(parent[a or b])*[not <parent>]>";
+  options.gen_nodes = 2000;
+  options.gen_shape = "chain";
+  options.gen_labels = 2;
+  explained = ExplainQuery(options);
+  ASSERT_TRUE(explained.ok()) << explained.status().message();
+  EXPECT_TRUE(explained->match);
+  EXPECT_TRUE(explained->consistent) << explained->rendered;
+  EXPECT_NE(explained->rendered.find("dispatch: reachability_pass"),
+            std::string::npos)
+      << explained->rendered;
 }
 
 TEST(ExplainTest, RejectsUnknownShapeAndBadQuery) {

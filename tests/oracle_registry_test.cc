@@ -38,12 +38,12 @@ using xptc::testing::OracleRegistry;
 using xptc::testing::RunSelfCheck;
 using xptc::testing::SelfCheckReport;
 
-TEST(OracleRegistryTest, DefaultRegistryHasAllNinePipelines) {
+TEST(OracleRegistryTest, DefaultRegistryHasAllEightPipelines) {
   Alphabet alphabet;
   auto registry = MakeDefaultRegistry(&alphabet);
-  EXPECT_EQ(registry->size(), 9);
-  for (const char* name : {"naive", "sets", "seed", "batch", "exec", "dexec",
-                           "fo", "ntwa", "dfta"}) {
+  EXPECT_EQ(registry->size(), 8);
+  for (const char* name : {"naive", "sets", "seed", "batch", "exec", "fo",
+                           "ntwa", "dfta"}) {
     EXPECT_NE(registry->Find(name), nullptr) << name;
   }
   EXPECT_EQ(registry->Find("nope"), nullptr);

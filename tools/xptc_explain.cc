@@ -1,10 +1,10 @@
 // EXPLAIN driver over the observability layer (src/obs/): runs one Regular
 // XPath(W) query through the full serving pipeline — PlanCache parse +
-// lowering, hybrid compiled execution, interpreter cross-check — under an
-// active QueryTrace, and renders the annotated plan dump: per-instruction
-// execution counts, the dispatch decision (register machine vs. one-pass
-// downward sweep, with the star-round budget that triggered a fallback),
-// star fixpoint rounds, per-axis-kernel node touches, and cache-hit
+// lowering, compiled execution, interpreter cross-check — under an active
+// QueryTrace, and renders the annotated plan dump: per-instruction
+// execution counts, the dispatch (register machine alone, or with a star
+// finished by the reachability pass past its round budget), star
+// fixpoint rounds, per-axis-kernel node touches, and cache-hit
 // provenance, all reconciled bit for bit against the metrics registry's
 // delta for the query. See DESIGN.md §11 and README for usage.
 //

@@ -68,9 +68,10 @@ int Usage(const char* argv0) {
       "  --fragment F        core|regular|regularw|downward|compilable|all\n"
       "                      (default all)\n"
       "  --max-tree-nodes N  per-case tree size cap (default 24)\n"
-      "  --deep-trees        bias half the cases to chain/caterpillar\n"
-      "                      shapes at up to 8x the size cap (worst shapes\n"
-      "                      for the closure axis kernels)\n"
+      "  --deep-trees        bias half the cases to two-label chain/\n"
+      "                      caterpillar shapes at up to 8x the size cap\n"
+      "                      (worst shapes for the closure axis kernels;\n"
+      "                      long stars reach the reachability pass)\n"
       "  --corpus DIR        write shrunk findings to DIR as .case files\n"
       "  --no-heavy          drop the FO/NTWA/DFTA oracles (fast smoke)\n"
       "  --oracle NAME       targeted mode: run only NAME as candidate\n"
